@@ -66,4 +66,36 @@ inline void insert_sorted_unique(std::vector<int>& v, int x) {
     if (it == v.end() || *it != x) v.insert(it, x);
 }
 
+/// Calls `visit(x)` for every element of `xs` in ascending order of
+/// `new_name(x)`, ties in container order: the order in which a renamed
+/// execution stores an id-sorted container, produced without building
+/// and sorting a renamed copy (Behavior::fold_state_renamed runs for
+/// every candidate child and symmetry-group element, so it must not
+/// allocate).  Quadratic in xs.size(), which for per-process id sets is
+/// at most n.
+template <typename Container, typename NewName, typename Visit>
+void for_each_in_renamed_order(const Container& xs, const NewName& new_name,
+                               const Visit& visit) {
+    bool started = false;
+    int last = 0;
+    for (std::size_t visited = 0; visited < xs.size();) {
+        bool found = false;
+        int next = 0;
+        for (const auto& x : xs) {
+            const int r = new_name(x);
+            if ((!started || r > last) && (!found || r < next)) {
+                next = r;
+                found = true;
+            }
+        }
+        for (const auto& x : xs) {
+            if (new_name(x) != next) continue;
+            visit(x);
+            ++visited;
+        }
+        last = next;
+        started = true;
+    }
+}
+
 }  // namespace ksa::algo

@@ -85,15 +85,13 @@ public:
         h.i64(input());
         h.u64(announced_ ? 1 : 0);
         h.u64(seen_.size());
-        std::vector<std::pair<ProcessId, Value>> renamed;
-        renamed.reserve(seen_.size());
-        for (const auto& [q, v] : seen_)
-            renamed.emplace_back(ren[static_cast<std::size_t>(q) - 1], v);
-        std::sort(renamed.begin(), renamed.end());
-        for (const auto& [q, v] : renamed) {
-            h.i64(q);
-            h.i64(v);
-        }
+        auto renamed = [&ren](const auto& entry) {
+            return ren[static_cast<std::size_t>(entry.first) - 1];
+        };
+        for_each_in_renamed_order(seen_, renamed, [&](const auto& entry) {
+            h.i64(renamed(entry));
+            h.i64(entry.second);
+        });
         return true;
     }
 

@@ -96,42 +96,32 @@ public:
     }
 
     /// fold_state under renaming: every id-valued field is mapped
-    /// through `ren` and every id-sorted container re-sorted under the
-    /// new names, exactly as the renamed execution would store it.
+    /// through `ren` and every id-sorted container walked in the order
+    /// of the new names, exactly as the renamed execution would store it.
     bool fold_state_renamed(StateHasher& h,
                             const ProcessRenaming& ren) const override {
-        auto renamed_sorted = [&ren](const std::vector<int>& ids) {
-            std::vector<int> out;
-            out.reserve(ids.size());
-            for (int q : ids)
-                out.push_back(ren[static_cast<std::size_t>(q) - 1]);
-            std::sort(out.begin(), out.end());
-            return out;
+        auto renamed = [&ren](int q) {
+            return ren[static_cast<std::size_t>(q) - 1];
+        };
+        auto fold_ids = [&](const std::vector<int>& ids) {
+            h.u64(ids.size());
+            for_each_in_renamed_order(ids, renamed,
+                                      [&](int q) { h.i64(renamed(q)); });
         };
         h.str("IC");
-        h.i64(ren[static_cast<std::size_t>(id()) - 1]);
+        h.i64(renamed(id()));
         h.i64(input());
         h.i64(phase_);
-        const std::vector<int> heard = renamed_sorted(heard_);
-        h.u64(heard.size());
-        for (int q : heard) h.i64(q);
-        const std::vector<int> required = renamed_sorted(required_);
-        h.u64(required.size());
-        for (int q : required) h.i64(q);
+        fold_ids(heard_);
+        fold_ids(required_);
         h.u64(known_.size());
-        std::vector<std::pair<int, std::pair<Value, std::vector<int>>>> known;
-        known.reserve(known_.size());
-        for (const auto& [q, info] : known_)
-            known.emplace_back(
-                    ren[static_cast<std::size_t>(q) - 1],
-                    std::make_pair(info.first, renamed_sorted(info.second)));
-        std::sort(known.begin(), known.end());
-        for (const auto& [q, info] : known) {
-            h.i64(q);
-            h.i64(info.first);
-            h.u64(info.second.size());
-            for (int u : info.second) h.i64(u);
-        }
+        for_each_in_renamed_order(
+                known_, [&](const auto& entry) { return renamed(entry.first); },
+                [&](const auto& entry) {
+                    h.i64(renamed(entry.first));
+                    h.i64(entry.second.first);
+                    fold_ids(entry.second.second);
+                });
         return true;
     }
 

@@ -839,8 +839,9 @@ ExploreResult explore_fast(const Algorithm& algorithm,
 //     the algorithm declares equivariance under): one representative
 //     per G-orbit is explored.  The identity element reuses the fast
 //     engine's incremental caches (with reduced_msg_hash as the
-//     message digest); non-identity elements re-walk the candidate
-//     through the renaming.  Decision-value sets are G-invariant;
+//     message digest); non-identity elements fold the candidate from
+//     the parent's renamed-digest table (RenamedChildKeys, built once
+//     per expanded parent).  Decision-value sets are G-invariant;
 //     per-process quiescent outcome vectors are orbit-expanded over G
 //     before the result is returned.
 //
@@ -978,7 +979,7 @@ Digest128 hash_child_reduced(const System& sys, int n, ProcessId stepper,
 struct ReducedWorker {
     std::unique_ptr<store::Rematerializer> remat;
     StepInput step;
-    RenameScratch rename;
+    RenamedChildKeys renamed;  ///< bound to the node being expanded
     std::vector<const Payload*> payloads;
     std::vector<ArrivingSend> arriving;
 };
@@ -1108,6 +1109,7 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
         }
     }
 
+    bool renamed_built = false;  // wk.renamed is built lazily, once
     auto emit_child = [&](ProcessId p, std::size_t delivered, GhostStep& g) {
         fill_arriving(g, p, reduced_msg_hash, wk.arriving);
         StoreChild child;
@@ -1115,6 +1117,10 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
                                        *node.mhash, wk.arriving, abs,
                                        wk.payloads);
         if (group.size() > 1) {
+            if (!renamed_built) {
+                wk.renamed.build(sys, cfg.n, algorithm, group, abs);
+                renamed_built = true;
+            }
             GhostEffects eff;
             eff.stepper = p;
             eff.delivered = delivered;
@@ -1123,12 +1129,19 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
             eff.sends = &g.out.sends;
             eff.decision = &g.out.decision;
             eff.behavior_after = g.behavior.get();
-            for (std::size_t gi = 1; gi < group.size(); ++gi) {
-                const Digest128 d = hash_child_renamed(
-                        sys, cfg.n, algorithm, eff, group.renaming(gi),
-                        group.inverse(gi), wk.rename, abs);
-                if (d < child.key) child.key = d;
-            }
+            child.key = wk.renamed.min_key(eff, child.key);
+#ifndef NDEBUG
+            // The table-folded key must equal a from-scratch canonical
+            // key of the realized child (hash_state_renamed re-walks
+            // every buffer and behavior independently of the table).
+            std::unique_ptr<System> realized = sys.fork(false);
+            realized->apply_choice(sys.prefix_choice(p, delivered));
+            RenameScratch scratch;
+            require(canonical_state_key(*realized, cfg.n, algorithm, group,
+                                        scratch, abs) == child.key,
+                    "reduced engine: renamed child key differs from the "
+                    "realized child's canonical key");
+#endif
         }
         child.stepper = p;
         child.delivered = static_cast<std::uint32_t>(delivered);

@@ -326,79 +326,153 @@ Digest128 hash_state_renamed(const System& sys, int n,
     return h.digest();
 }
 
-Digest128 hash_child_renamed(const System& sys, int n,
+void RenamedChildKeys::build(const System& parent, int n,
                              const Algorithm& algorithm,
-                             const GhostEffects& g,
-                             const ProcessRenaming& ren,
-                             const ProcessRenaming& inv,
-                             RenameScratch& scratch,
+                             const SymmetryGroup& group,
                              const AbsorptionContext& abs) {
-    invariant(g.sends != nullptr && g.decision != nullptr &&
-                      g.behavior_after != nullptr,
-              "hash_child_renamed: incomplete GhostEffects");
-    StateHasher h;
-    for (ProcessId r = 1; r <= n; ++r) {
-        const ProcessId q = inv[static_cast<std::size_t>(r) - 1];
-        auto d = sys.decision_of(q);
-        if (q == g.stepper && *g.decision) d = *g.decision;
-        if (abs.decided_final && d) {
-            h.u64(2);
-            h.i64(*d);
-            continue;
+    sys_ = &parent;
+    algorithm_ = &algorithm;
+    group_ = &group;
+    abs_ = abs;
+    n_ = n;
+    const std::size_t un = static_cast<std::size_t>(n);
+    msg_begin_.resize(un);
+    dead_.clear();
+    for (ProcessId q = 1; q <= n; ++q) {
+        msg_begin_[static_cast<std::size_t>(q) - 1] = dead_.size();
+        // Absorbed processes fold to their decision in every child (a
+        // final decision stays), so their slots would never be read.
+        if (abs.decided_final && parent.decision_of(q)) continue;
+        const Behavior& recv = parent.behavior_of(q);
+        for (const Message& m : parent.buffer(q))
+            dead_.push_back(dead_message(m.from, m.payload, recv, abs) ? 1
+                                                                        : 0);
+    }
+    num_msgs_ = dead_.size();
+    const std::size_t rows = group.size() - 1;
+    msg_.resize(rows * num_msgs_);
+    behavior_.resize(rows * un);
+    for (std::size_t g = 1; g < group.size(); ++g) {
+        const ProcessRenaming& ren = group.renaming(g);
+        Digest128* msg_row = msg_.data() + (g - 1) * num_msgs_;
+        Digest128* behavior_row = behavior_.data() + (g - 1) * un;
+        for (ProcessId q = 1; q <= n; ++q) {
+            if (abs.decided_final && parent.decision_of(q)) continue;
+            const std::size_t begin =
+                    msg_begin_[static_cast<std::size_t>(q) - 1];
+            const auto& buf = parent.buffer(q);
+            for (std::size_t i = 0; i < buf.size(); ++i)
+                msg_row[begin + i] = renamed_msg_hash(
+                        buf[i].from, buf[i].payload, algorithm, ren, scratch_);
+            if (parent.steps_of(q) > 0)
+                behavior_row[static_cast<std::size_t>(q) - 1] =
+                        renamed_behavior_hash(parent.behavior_of(q), ren,
+                                              scratch_.sub);
         }
-        const bool crashed_q =
-                q == g.stepper ? g.final_crash : sys.crashed(q);
-        h.u64(crashed_q ? 1 : 0);
-        h.u64(d ? 1 : 0);
-        if (d) h.i64(*d);
+    }
+}
+
+Digest128 RenamedChildKeys::min_key(const GhostEffects& eff, Digest128 key) {
+    invariant(sys_ != nullptr && eff.sends != nullptr &&
+                      eff.decision != nullptr && eff.behavior_after != nullptr,
+              "RenamedChildKeys::min_key: unbound table or incomplete "
+              "GhostEffects");
+    const System& sys = *sys_;
+    const ProcessId s = eff.stepper;
+    const std::size_t un = static_cast<std::size_t>(n_);
+
+    // g-independent: each process's child decision and live buffer
+    // entries.  The child's buffer of q is buf[skip:] followed by the
+    // surviving sends to q in emission order (apply_choice), with dead
+    // messages deleted anywhere, judged by q's CHILD-state behavior:
+    // the stepped clone for the stepper, the parent's (table flags)
+    // for everyone else.
+    decision_.resize(un);
+    live_begin_.resize(un + 1);
+    live_.clear();
+    arriving_.clear();
+    for (ProcessId q = 1; q <= n_; ++q) {
+        const std::size_t qi = static_cast<std::size_t>(q) - 1;
+        std::optional<Value> d = sys.decision_of(q);
+        if (q == s && *eff.decision) d = *eff.decision;
+        decision_[qi] = d;
+        live_begin_[qi] = live_.size();
+        if (abs_.decided_final && d) continue;  // folds to its decision
         const auto& buf = sys.buffer(q);
-        const std::size_t skip = q == g.stepper ? g.delivered : 0;
-        // apply_choice appends surviving sends in emission order; the
-        // child's buffer of q is buf[skip:] followed by `arriving`.
-        scratch.arriving.clear();
-        for (const auto& [dest, payload] : *g.sends)
-            if (dest == q && g.send_survives(dest))
-                scratch.arriving.push_back(&payload);
-        // Delete dead messages anywhere in the concatenation, judged
-        // by q's behavior in the child state.
+        const std::size_t begin = msg_begin_[qi];
         const Behavior& receiver =
-                q == g.stepper ? *g.behavior_after : sys.behavior_of(q);
-        std::size_t live = 0;
-        for (std::size_t i = skip; i < buf.size(); ++i)
-            if (!dead_message(buf[i].from, buf[i].payload, receiver, abs))
-                ++live;
-        for (const Payload* pl : scratch.arriving)
-            if (!dead_message(g.stepper, *pl, receiver, abs)) ++live;
-        h.u64(live);
-        for (std::size_t i = skip; i < buf.size(); ++i)
-            if (!dead_message(buf[i].from, buf[i].payload, receiver, abs))
-                h.fold(renamed_msg_hash(buf[i].from, buf[i].payload,
-                                        algorithm, ren, scratch));
-        for (const Payload* pl : scratch.arriving)
-            if (!dead_message(g.stepper, *pl, receiver, abs))
-                h.fold(renamed_msg_hash(g.stepper, *pl, algorithm, ren,
-                                        scratch));
-    }
-    for (ProcessId r = 1; r <= n; ++r) {
-        const ProcessId q = inv[static_cast<std::size_t>(r) - 1];
-        if (abs.decided_final) {
-            auto d = sys.decision_of(q);
-            if (q == g.stepper && *g.decision) d = *g.decision;
-            if (d) continue;  // collapsed
+                q == s ? *eff.behavior_after : sys.behavior_of(q);
+        for (std::size_t i = q == s ? eff.delivered : 0; i < buf.size(); ++i) {
+            const bool dead =
+                    q == s ? dead_message(buf[i].from, buf[i].payload,
+                                          receiver, abs_)
+                           : dead_[begin + i] != 0;
+            if (!dead) live_.push_back(begin + i);
         }
-        if (q == g.stepper) {
-            h.u64(1);
-            h.fold(renamed_behavior_hash(*g.behavior_after, ren,
-                                         scratch.sub));
-        } else {
-            const bool stepped = sys.steps_of(q) > 0;
-            h.u64(stepped ? 1 : 0);
-            if (stepped)
-                h.fold(renamed_behavior_hash(sys.behavior_of(q), ren,
-                                             scratch.sub));
+        for (const auto& [dest, payload] : *eff.sends) {
+            if (dest != q || !eff.send_survives(dest)) continue;
+            if (dead_message(s, payload, receiver, abs_)) continue;
+            live_.push_back(num_msgs_ + arriving_.size());
+            arriving_.push_back(&payload);
         }
     }
-    return h.digest();
+    live_begin_[un] = live_.size();
+    const bool stepper_absorbed =
+            abs_.decided_final && decision_[static_cast<std::size_t>(s) - 1];
+
+    arriving_digest_.resize(arriving_.size());
+    for (std::size_t g = 1; g < group_->size(); ++g) {
+        const ProcessRenaming& ren = group_->renaming(g);
+        const ProcessRenaming& inv = group_->inverse(g);
+        const Digest128* msg_row = msg_.data() + (g - 1) * num_msgs_;
+        const Digest128* behavior_row = behavior_.data() + (g - 1) * un;
+        for (std::size_t a = 0; a < arriving_.size(); ++a)
+            arriving_digest_[a] = renamed_msg_hash(s, *arriving_[a],
+                                                   *algorithm_, ren, scratch_);
+        const Digest128 stepper_behavior =
+                stepper_absorbed ? Digest128{}
+                                 : renamed_behavior_hash(*eff.behavior_after,
+                                                         ren, scratch_.sub);
+        // The field sequence of hash_state_renamed on the child.
+        StateHasher h;
+        for (ProcessId r = 1; r <= n_; ++r) {
+            const ProcessId q = inv[static_cast<std::size_t>(r) - 1];
+            const std::size_t qi = static_cast<std::size_t>(q) - 1;
+            const std::optional<Value>& d = decision_[qi];
+            if (abs_.decided_final && d) {
+                h.u64(2);
+                h.i64(*d);
+                continue;
+            }
+            const bool crashed_q = q == s ? eff.final_crash : sys.crashed(q);
+            h.u64(crashed_q ? 1 : 0);
+            h.u64(d ? 1 : 0);
+            if (d) h.i64(*d);
+            h.u64(live_begin_[qi + 1] - live_begin_[qi]);
+            for (std::size_t e = live_begin_[qi]; e < live_begin_[qi + 1];
+                 ++e) {
+                const std::size_t slot = live_[e];
+                h.fold(slot < num_msgs_ ? msg_row[slot]
+                                        : arriving_digest_[slot - num_msgs_]);
+            }
+        }
+        for (ProcessId r = 1; r <= n_; ++r) {
+            const ProcessId q = inv[static_cast<std::size_t>(r) - 1];
+            const std::size_t qi = static_cast<std::size_t>(q) - 1;
+            if (abs_.decided_final && decision_[qi]) continue;  // collapsed
+            if (q == s) {
+                h.u64(1);
+                h.fold(stepper_behavior);
+            } else {
+                const bool stepped = sys.steps_of(q) > 0;
+                h.u64(stepped ? 1 : 0);
+                if (stepped) h.fold(behavior_row[qi]);
+            }
+        }
+        const Digest128 d = h.digest();
+        if (d < key) key = d;
+    }
+    return key;
 }
 
 Digest128 canonical_state_key(const System& sys, int n,

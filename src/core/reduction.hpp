@@ -204,9 +204,9 @@ std::uint64_t intern_tag(std::string_view tag);
 // The reduced engine keys states on min over G of the renamed state's
 // digest.  The identity element reuses the fast engine's incremental
 // caches (explorer.cpp) with the reduced message digest below; the
-// non-identity elements re-walk the configuration through the renaming
-// (group sizes are tiny -- at most a few dozen elements at explorer
-// scales).  All functions fold EXACTLY the same field sequence as the
+// non-identity elements fold a child from its parent's renamed-digest
+// table (RenamedChildKeys) or, for a whole state, re-walk it through
+// the renaming.  All functions fold EXACTLY the same field sequence as the
 // fast engine's hash_state/hash_child, so that for the identity
 // renaming the cached and walked digests coincide (debug builds assert
 // this on every realized child).
@@ -218,10 +218,6 @@ std::uint64_t intern_tag(std::string_view tag);
 struct RenameScratch {
     Payload payload;  ///< renamed copy of a message payload
     StateHasher sub;  ///< per-behavior / per-message sub-hasher
-    /// Borrowed per-destination arriving-send payloads of one ghost
-    /// step (hash_child_renamed); recycled to keep the renamed walk
-    /// allocation-free after warm-up.
-    std::vector<const Payload*> arriving;
 };
 
 /// Reduced digest of one buffered message: sender id + interned tag id
@@ -299,17 +295,64 @@ struct GhostEffects {
     }
 };
 
-/// Digest of the child configuration reached from `sys` by the ghost
-/// step, as renamed by `ren`: the renamed-walk counterpart of the fast
-/// engine's hash_child (same field sequence, same arrival order of
-/// surviving sends).
-Digest128 hash_child_renamed(const System& sys, int n,
-                             const Algorithm& algorithm,
-                             const GhostEffects& g,
-                             const ProcessRenaming& ren,
-                             const ProcessRenaming& inv,
-                             RenameScratch& scratch,
-                             const AbsorptionContext& abs);
+/// Renamed child keys of one parent configuration, computed from a
+/// per-parent digest table instead of a fresh renamed walk per child.
+///
+/// A child differs from its parent only in the stepper (delivered
+/// prefix, crash flag, decision, behavior) and in the sends arriving in
+/// other buffers.  build() therefore digests, once per parent and for
+/// every non-identity element g, every buffered message and every
+/// stepped behavior of each process the absorption quotient keeps, plus
+/// the dead-message flags under the parent's receivers (inertness does
+/// not depend on the renaming).  min_key() then does the g-independent
+/// work of a child once -- the stepper's dead flags judged by its
+/// stepped clone, the liveness of each arriving send, each buffer's
+/// live messages -- and per g digests only the arriving sends and the
+/// stepped behavior, folding everything else from the table.  The
+/// folded field sequence and sub-digests are exactly those of
+/// hash_state_renamed on the realized child, so keys are bit-identical
+/// to a full renamed walk (debug builds cross-check every child).
+///
+/// Cost: build() is |G|-1 times (buffered messages + stepped processes)
+/// renamed digests; min_key() is, per element, the arriving sends plus
+/// one behavior digest and the folds.  The table holds (|G|-1) *
+/// (messages + n) digests, so it grows with the group order (up to 8!
+/// at kMaxSymmetryProcesses).  One per worker; reused across parents.
+class RenamedChildKeys {
+public:
+    /// Binds the table to `parent` and fills it.  `parent`, `algorithm`
+    /// and `group` must outlive every min_key() call until the next
+    /// build().
+    void build(const System& parent, int n, const Algorithm& algorithm,
+               const SymmetryGroup& group, const AbsorptionContext& abs);
+
+    /// min(key, min over g >= 1 of the renamed digest of the child the
+    /// ghost step `eff` reaches from the bound parent).
+    Digest128 min_key(const GhostEffects& eff, Digest128 key);
+
+private:
+    const System* sys_ = nullptr;
+    const Algorithm* algorithm_ = nullptr;
+    const SymmetryGroup* group_ = nullptr;
+    AbsorptionContext abs_;
+    int n_ = 0;
+    /// msg_begin_[q-1]: the table-row slot of q's oldest buffered
+    /// message; absorbed processes own no slots.
+    std::vector<std::size_t> msg_begin_;
+    std::size_t num_msgs_ = 0;  ///< slots per row
+    std::vector<std::uint8_t> dead_;  ///< per slot, under the parent's receiver
+    std::vector<Digest128> msg_;      ///< row g-1: renamed message digests
+    std::vector<Digest128> behavior_;  ///< row g-1: renamed behavior digests
+    RenameScratch scratch_;
+    // Per-child scratch, recycled across children.
+    std::vector<std::optional<Value>> decision_;  ///< child decision per process
+    std::vector<std::size_t> live_begin_;  ///< live_[..] range per process
+    /// The child's live buffer entries in fold order: < num_msgs_ is a
+    /// table slot, otherwise num_msgs_ + index into arriving_.
+    std::vector<std::size_t> live_;
+    std::vector<const Payload*> arriving_;  ///< live arriving sends
+    std::vector<Digest128> arriving_digest_;  ///< their renamed digests, per g
+};
 
 /// Canonical key of a live System: minimum over the group of the
 /// renamed full-state digests (identity via reduced_hash_state), with

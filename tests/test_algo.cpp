@@ -361,5 +361,66 @@ TEST(CloneAndFold, DefaultFoldStateMatchesDigest) {
     audit_clone_and_fold(algorithm, 4, plan, 6, oracle.get());
 }
 
+// ------------------------------------------------ renamed fold_state
+//
+// The symmetry reduction rests on the equivariance contract of
+// Behavior::fold_state_renamed: folding p's state under a renaming pi
+// equals fold_state of process pi(p) in the renamed execution (inputs
+// and schedule moved along pi).  Checked at every reached state, for
+// every pi in S4, under a schedule that alternates single-message and
+// whole-buffer deliveries -- which exercises the renamed ordering of
+// every id-sorted container the overrides walk.
+
+void audit_renamed_fold(const Algorithm& algorithm, int n, int rounds) {
+    const std::vector<Value> inputs = distinct_inputs(n);
+    ProcessRenaming ren(static_cast<std::size_t>(n));
+    for (int p = 1; p <= n; ++p) ren[static_cast<std::size_t>(p) - 1] = p;
+    do {
+        auto renamed_id = [&ren](ProcessId p) {
+            return ren[static_cast<std::size_t>(p) - 1];
+        };
+        std::vector<Value> renamed_inputs(inputs.size());
+        for (ProcessId p = 1; p <= n; ++p)
+            renamed_inputs[static_cast<std::size_t>(renamed_id(p)) - 1] =
+                    inputs[static_cast<std::size_t>(p) - 1];
+        System sys(algorithm, n, inputs, FailurePlan{});
+        System renamed(algorithm, n, renamed_inputs, FailurePlan{});
+        sys.set_recording(false);
+        renamed.set_recording(false);
+        auto audit = [&] {
+            for (ProcessId p = 1; p <= n; ++p) {
+                StateHasher via_renaming;
+                ASSERT_TRUE(sys.behavior_of(p).fold_state_renamed(
+                        via_renaming, ren));
+                EXPECT_EQ(via_renaming.digest(),
+                          fold_hash(renamed.behavior_of(renamed_id(p))))
+                        << "p" << p << " renamed to p" << renamed_id(p);
+            }
+        };
+        audit();
+        for (int r = 0; r < rounds; ++r)
+            for (ProcessId p = 1; p <= n; ++p) {
+                const std::size_t count =
+                        r % 2 == 0 ? std::min<std::size_t>(
+                                             1, sys.buffer(p).size())
+                                   : sys.buffer(p).size();
+                sys.apply_choice(sys.prefix_choice(p, count));
+                renamed.apply_choice(
+                        renamed.prefix_choice(renamed_id(p), count));
+                audit();
+            }
+    } while (std::next_permutation(ren.begin(), ren.end()));
+}
+
+TEST(RenamedFold, FloodingMatchesTheRenamedExecution) {
+    algo::FloodingKSet algorithm(3);
+    audit_renamed_fold(algorithm, 4, 4);
+}
+
+TEST(RenamedFold, InitialCliqueMatchesTheRenamedExecution) {
+    auto algorithm = algo::make_flp_kset(4, 2);
+    audit_renamed_fold(*algorithm, 4, 6);
+}
+
 }  // namespace
 }  // namespace ksa

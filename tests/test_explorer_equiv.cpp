@@ -396,6 +396,69 @@ TEST(ReducedEquivalence, RunToRunDeterminism) {
     expect_equal_results(a, b, "reduced(4) run-to-run");
 }
 
+// Groups beyond S3.  Renamed child keys are folded from a per-parent
+// digest table (core/reduction.hpp, RenamedChildKeys), which must
+// reproduce the partition of a full renamed walk exactly; the pinned
+// counts were recorded with such a walk.  Cases: the full group S4, and
+// {id, (3 4)} where the swapped processes crash after one step with
+// their final sends omitted.  Each runs with absorption on (the
+// stepper's dead messages are then judged by its stepped clone) and off.
+
+struct PinnedCounts {
+    std::size_t states = 0;
+    std::size_t dedup_hits = 0;
+    std::size_t por_skips = 0;
+};
+
+void expect_pinned_counts(const ExploreResult& r, const PinnedCounts& want,
+                          const std::string& label) {
+    EXPECT_EQ(r.states_explored, want.states) << label;
+    EXPECT_EQ(r.dedup_hits, want.dedup_hits) << label;
+    EXPECT_EQ(r.por_skips, want.por_skips) << label;
+}
+
+// Flooding, not the initial-clique protocol: with four correct
+// processes the latter's full space is beyond an exhaustive kFast run.
+TEST(ReducedEquivalence, UniformInputsFullGroupS4) {
+    algo::FloodingKSet algorithm(3);
+    for (const bool absorption : {true, false}) {
+        ExploreConfig cfg = base_config(4, 1, 20);
+        cfg.inputs = {7, 7, 7, 7};
+        cfg.reduction.absorption = absorption;
+        const std::string label = absorption ? "S4, absorption on"
+                                             : "S4, absorption off";
+        auto [fast, red] = expect_reduced_agrees(algorithm, cfg, label);
+        EXPECT_TRUE(fast.exhaustive) << label;
+        EXPECT_TRUE(red.exhaustive) << label;
+        expect_pinned_counts(red,
+                             absorption ? PinnedCounts{105, 516, 255}
+                                        : PinnedCounts{189, 634, 841},
+                             label);
+    }
+}
+
+TEST(ReducedEquivalence, SwappedCrashersWithFinalStepOmissions) {
+    auto algorithm = algo::make_flp_kset(4, 2);
+    for (const bool absorption : {true, false}) {
+        ExploreConfig cfg = base_config(4, 2, 20);
+        cfg.inputs = {7, 7, 7, 7};
+        // Equal allowances and omission sets: (3 4) fixes the plan, no
+        // renaming that moves 1 or 2 does.
+        cfg.plan.set_crash(3, CrashSpec{1, {1}});
+        cfg.plan.set_crash(4, CrashSpec{1, {1}});
+        cfg.reduction.absorption = absorption;
+        const std::string label = absorption ? "(3 4), absorption on"
+                                             : "(3 4), absorption off";
+        auto [fast, red] = expect_reduced_agrees(*algorithm, cfg, label);
+        EXPECT_TRUE(fast.exhaustive) << label;
+        EXPECT_TRUE(red.exhaustive) << label;
+        expect_pinned_counts(red,
+                             absorption ? PinnedCounts{1522, 3672, 1095}
+                                        : PinnedCounts{4448, 10563, 3190},
+                             label);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Store configuration sweeps (src/store/).
 //
