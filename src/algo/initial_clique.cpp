@@ -1,14 +1,27 @@
 #include "algo/initial_clique.hpp"
 
 #include <algorithm>
-
-#include "graph/clique.hpp"
-#include "graph/digraph.hpp"
-#include "graph/scc.hpp"
+#include <array>
+#include <bit>
+#include <cstdint>
 
 namespace ksa::algo {
 
 namespace {
+
+/// Mask bit of process q; every id entering the rule passes through
+/// here, so an out-of-range id fails before any mask is built.
+std::uint64_t process_bit(int n, int q) {
+    if (q < 1 || q > n)
+        throw UsageError("initial_clique_decision: process id out of range");
+    return std::uint64_t{1} << (q - 1);
+}
+
+/// Calls f(v) for every set bit v (0-based) of `mask`, ascending.
+template <typename Fn>
+void for_each_bit(std::uint64_t mask, const Fn& f) {
+    for (; mask != 0; mask &= mask - 1) f(std::countr_zero(mask));
+}
 
 /// Per-process state machine of the two-stage protocol.
 class InitialCliqueBehavior final : public BehaviorBase {
@@ -36,7 +49,8 @@ public:
             phase_ = 2;
         }
         if (phase_ == 2 && closure_complete()) {
-            decide(out, compute_decision());
+            decide(out, initial_clique_decision(n(), id(), input(), heard_,
+                                                known_));
             phase_ = 3;
         }
         return out;
@@ -161,63 +175,74 @@ private:
         return true;
     }
 
-    /// Builds the known (in-closed) part of the heard-from graph and
-    /// applies the source-component decision rule.
-    Value compute_decision() const {
-        // Participating vertices: self plus every sender of a stage-2
-        // message we hold.  (0-based for the graph library.)
-        std::vector<int> participants{id() - 1};
-        for (const auto& [q, _] : known_)
-            insert_sorted_unique(participants, q - 1);
-
-        graph::Digraph g(n());
-        for (int u : heard_) g.add_edge(u - 1, id() - 1);
-        for (const auto& [q, info] : known_)
-            for (int u : info.second)
-                if (u != q) g.add_edge(u - 1, q - 1);
-
-        std::vector<int> labels;
-        graph::Digraph sub = g.induced(participants, &labels);
-
-        // Source components of the known subgraph; find those from which
-        // we are reachable and pick the one with the smallest member.
-        auto sources = graph::source_components(sub);
-        invariant(!sources.empty(), "InitialCliqueKSet: no source component");
-        int self_local = -1;
-        for (std::size_t i = 0; i < labels.size(); ++i)
-            if (labels[i] == id() - 1) self_local = static_cast<int>(i);
-        invariant(self_local >= 0, "InitialCliqueKSet: self not a participant");
-
-        int best_member = -1;  // 0-based global id of chosen representative
-        for (const auto& sc : sources) {
-            auto reach = graph::reachable_from(sub, sc);
-            if (!std::binary_search(reach.begin(), reach.end(), self_local))
-                continue;
-            const int member = labels[sc.front()];  // smallest: sc sorted
-            if (best_member == -1 || member < best_member) best_member = member;
-        }
-        invariant(best_member >= 0,
-                  "InitialCliqueKSet: no source component reaches this process");
-
-        const ProcessId rep = best_member + 1;
-        if (rep == id()) return input();
-        auto it = known_.find(rep);
-        invariant(it != known_.end(),
-                  "InitialCliqueKSet: representative's proposal unknown");
-        return it->second.first;
-    }
-
     int l_;
     int phase_ = 0;                 // 0 start, 1 stage-1 wait, 2 closure, 3 done
     std::vector<int> heard_;        // stage-1 in-neighbours (sorted)
     std::vector<int> required_;     // processes whose stage-2 msg we await
-    std::map<int, std::pair<Value, std::vector<int>>> known_;  // S2 contents
+    InitialCliqueReports known_;    // S2 contents
 };
 
 }  // namespace
 
+Value initial_clique_decision(int n, ProcessId self, Value input,
+                              const std::vector<int>& heard,
+                              const InitialCliqueReports& known) {
+    if (n < 1 || n > kInitialCliqueMaxN)
+        throw UsageError("initial_clique_decision: need 1 <= n <= 64");
+    std::uint64_t participants = process_bit(n, self);
+    for (const auto& [q, _] : known) participants |= process_bit(n, q);
+
+    // anc[v]: participants with an edge into v, closed (Warshall) into
+    // the participants with a path of length >= 1 into v.
+    std::array<std::uint64_t, kInitialCliqueMaxN> anc;
+    std::fill_n(anc.begin(), n, 0);
+    for (int u : heard) {
+        if (u == self)
+            throw UsageError("initial_clique_decision: self in heard-list");
+        anc[self - 1] |= process_bit(n, u);
+    }
+    for (const auto& [q, info] : known)
+        for (int u : info.second)
+            if (u != q) anc[q - 1] |= process_bit(n, u);
+    for_each_bit(participants, [&](int v) { anc[v] &= participants; });
+    for_each_bit(participants, [&](int k) {
+        for_each_bit(participants, [&](int v) {
+            if ((anc[v] >> k) & 1) anc[v] |= anc[k];
+        });
+    });
+
+    // u lies in a source component iff every ancestor of u is reached
+    // from u (then u's component has no in-edge from outside).  Scan
+    // the participants reaching self -- self included -- in id order.
+    const std::uint64_t self_bit = std::uint64_t{1} << (self - 1);
+    std::uint64_t candidates = anc[self - 1] | self_bit;
+    int rep = -1;  // 0-based
+    for (; candidates != 0 && rep < 0; candidates &= candidates - 1) {
+        const int u = std::countr_zero(candidates);
+        bool source = true;
+        for_each_bit(anc[u], [&](int w) {
+            if (w != u && ((anc[w] >> u) & 1) == 0) source = false;
+        });
+        if (source) rep = u;
+    }
+    // (Thrown directly: invariant() would build its message string on
+    // every call of this hot rule.)
+    if (rep < 0)
+        throw SimulationBug(
+                "InitialCliqueKSet: no source component reaches this process");
+
+    if (rep + 1 == self) return input;
+    auto it = known.find(rep + 1);
+    if (it == known.end())
+        throw SimulationBug(
+                "InitialCliqueKSet: representative's proposal unknown");
+    return it->second.first;
+}
+
 std::unique_ptr<Behavior> InitialCliqueKSet::make_behavior(ProcessId id, int n,
                                                            Value input) const {
+    require(n <= kInitialCliqueMaxN,
+            "InitialCliqueKSet: the decision rule supports n <= 64");
     return std::make_unique<InitialCliqueBehavior>(id, n, input, l_);
 }
 

@@ -30,17 +30,40 @@
 
 #include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "algo/common.hpp"
 #include "sim/behavior.hpp"
 
 namespace ksa::algo {
 
+/// Largest n the protocol supports: the decision rule keeps one bit per
+/// process in a 64-bit ancestor mask.
+inline constexpr int kInitialCliqueMaxN = 64;
+
+/// The stage-2 reports a process holds: sender id -> (proposal,
+/// heard-list).
+using InitialCliqueReports = std::map<int, std::pair<Value, std::vector<int>>>;
+
+/// The decision rule of process `self` (proposal `input`, stage-1
+/// in-neighbours `heard`, stage-2 reports `known`).  The participants
+/// are `self` plus every reporting process; the heard-from graph over
+/// them has an edge u -> self per u in `heard` and u -> q per u != q in
+/// q's heard-list.  Returns the proposal of the smallest participant
+/// that lies in a source component of that graph and reaches `self`.
+/// Throws UsageError when n exceeds kInitialCliqueMaxN, an id lies
+/// outside 1..n or `heard` names `self`.
+Value initial_clique_decision(int n, ProcessId self, Value input,
+                              const std::vector<int>& heard,
+                              const InitialCliqueReports& known);
+
 /// The Section VI protocol, parameterized by the stage-1 threshold L.
 class InitialCliqueKSet final : public Algorithm {
 public:
     /// `l` is the paper's L: a process waits for L-1 stage-1 messages.
-    /// Requires 1 <= l <= n (checked when behaviors are created).
+    /// Requires 1 <= l <= n and n <= kInitialCliqueMaxN (checked when
+    /// behaviors are created).
     explicit InitialCliqueKSet(int l) : l_(l) {}
 
     std::unique_ptr<Behavior> make_behavior(ProcessId id, int n,

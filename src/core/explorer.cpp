@@ -1066,8 +1066,12 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
     // with every future move of the rest of the system and expanding p
     // alone loses no decision set, no quiescent outcome and no
     // violation (doc/performance.md gives the full argument).
-    const ProcMoves* ample = nullptr;
-    std::vector<GhostStep> ample_ghosts;
+    //
+    // probed[i] keeps the ghosts of procs[i] once the POR probe has
+    // stepped them, so the full expansion below never steps a move
+    // twice.
+    std::size_t ample = procs.size();  // index of the safe process, if any
+    std::vector<std::vector<GhostStep>> probed(procs.size());
     if (cfg.reduction.por) {
         std::vector<ProcessId> senders;  // steppable and may still send
         for (ProcessId q = 1; q <= cfg.n; ++q)
@@ -1077,9 +1081,11 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
         // may still send -- nobody is safe.  One sender: only it can
         // be.  None: try every enumerable process in id order.
         if (senders.size() <= 1) {
-            for (const ProcMoves& pm : procs) {
+            for (std::size_t i = 0; i < procs.size(); ++i) {
+                const ProcMoves& pm = procs[i];
                 if (!senders.empty() && senders.front() != pm.p) continue;
-                std::vector<GhostStep> ghosts = ghost_moves(pm);
+                std::vector<GhostStep>& ghosts = probed[i];
+                ghosts = ghost_moves(pm);
                 bool safe = true;
                 for (const GhostStep& g : ghosts) {
                     if (g.out.decision &&
@@ -1101,8 +1107,7 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
                     if (!safe) break;
                 }
                 if (safe) {
-                    ample = &pm;
-                    ample_ghosts = std::move(ghosts);
+                    ample = i;
                     break;
                 }
             }
@@ -1148,17 +1153,19 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
         e.children.push_back(child);
     };
 
-    if (ample != nullptr) {
-        e.por_skips = total_moves - ample->num;
-        for (std::size_t m = 0; m < ample->num; ++m)
-            emit_child(ample->p, ample->prefixes[m], ample_ghosts[m]);
+    if (ample < procs.size()) {
+        const ProcMoves& pm = procs[ample];
+        e.por_skips = total_moves - pm.num;
+        for (std::size_t m = 0; m < pm.num; ++m)
+            emit_child(pm.p, pm.prefixes[m], probed[ample][m]);
         return e;
     }
     e.children.reserve(total_moves);
-    for (const ProcMoves& pm : procs) {
-        std::vector<GhostStep> ghosts = ghost_moves(pm);
+    for (std::size_t i = 0; i < procs.size(); ++i) {
+        const ProcMoves& pm = procs[i];
+        if (probed[i].empty()) probed[i] = ghost_moves(pm);
         for (std::size_t m = 0; m < pm.num; ++m)
-            emit_child(pm.p, pm.prefixes[m], ghosts[m]);
+            emit_child(pm.p, pm.prefixes[m], probed[i][m]);
     }
     return e;
 }

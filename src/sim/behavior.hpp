@@ -186,10 +186,11 @@ public:
     ///         return std::make_unique<MyBehavior>(*this);
     ///     }
     ///
-    /// This is what makes configurations snapshot-able: System::fork()
-    /// clones every behavior so the explorer (core/explorer.hpp) can
-    /// expand children from a live parent state instead of replaying the
-    /// whole schedule prefix from the initial configuration.
+    /// This is what makes configurations snapshot-able: a System::fork()
+    /// shares behaviors and clones one when a step is about to change
+    /// it, so the explorer (core/explorer.hpp) can expand children from
+    /// a live parent state instead of replaying the whole schedule
+    /// prefix from the initial configuration.
     virtual std::unique_ptr<Behavior> clone() const = 0;
 };
 

@@ -24,7 +24,8 @@ System::System(const Algorithm& algorithm, int n, std::vector<Value> inputs,
     behaviors_.reserve(n_);
     for (ProcessId p = 1; p <= n_; ++p)
         behaviors_.push_back(algorithm.make_behavior(p, n_, inputs_[p - 1]));
-    buffers_.resize(n_);
+    // One empty buffer serves every process until its first arrival.
+    buffers_.assign(n_, std::make_shared<std::deque<Message>>());
     step_counts_.assign(n_, 0);
     crashed_.assign(n_, false);
     decisions_.assign(n_, std::nullopt);
@@ -42,6 +43,7 @@ System::System(ForkTag, const System& other)
       inputs_(other.inputs_),
       plan_(other.plan_),
       oracle_(other.oracle_),  // borrowed in both systems, see fork() doc
+      behaviors_(other.behaviors_),
       buffers_(other.buffers_),
       step_counts_(other.step_counts_),
       crashed_(other.crashed_),
@@ -52,7 +54,6 @@ System::System(ForkTag, const System& other)
       finished_(other.finished_),
       recording_(other.recording_) {
     if (recording_) run_ = other.run_;
-    behaviors_.reserve(static_cast<std::size_t>(n_));
 }
 
 std::unique_ptr<System> System::fork(bool verify_digests) const {
@@ -67,16 +68,32 @@ std::unique_ptr<System> System::fork(bool verify_digests) const {
         copy->run_.inputs = inputs_;
         copy->run_.plan = plan_;
     }
-    for (ProcessId p = 1; p <= n_; ++p) {
-        copy->behaviors_.push_back(behaviors_[p - 1]->clone());
-        if (verify_digests) {
-            KSA_REQUIRE(copy->behaviors_[p - 1]->state_digest() ==
-                            behaviors_[p - 1]->state_digest(),
+    copy->verify_clones_ = verify_digests;
+    return copy;
+}
+
+Behavior& System::own_behavior(ProcessId p) {
+    std::shared_ptr<Behavior>& slot = behaviors_[p - 1];
+    // use_count() == 1 means no other System can reach the slot, and
+    // none can start to: forking needs this System, which the calling
+    // thread is stepping.
+    if (slot.use_count() > 1) {
+        std::shared_ptr<Behavior> copy = slot->clone();
+        if (verify_clones_) {
+            KSA_REQUIRE(copy->state_digest() == slot->state_digest(),
                         "System::fork: Behavior::clone broke the digest "
                         "round-trip contract");
         }
+        slot = std::move(copy);
     }
-    return copy;
+    return *slot;
+}
+
+std::deque<Message>& System::own_buffer(ProcessId p) {
+    std::shared_ptr<std::deque<Message>>& slot = buffers_[p - 1];
+    if (slot.use_count() > 1)
+        slot = std::make_shared<std::deque<Message>>(*slot);
+    return *slot;
 }
 
 std::string System::last_digest(ProcessId p) const {
@@ -97,7 +114,7 @@ const Behavior& System::behavior_of(ProcessId p) const {
 void System::deliver_prefix(ProcessId p, std::size_t count,
                             StepInput& scratch) const {
     check_pid(p, "System::deliver_prefix");
-    const auto& buf = buffers_[p - 1];
+    const auto& buf = *buffers_[p - 1];
     KSA_REQUIRE(count <= buf.size(),
                 "System::deliver_prefix: prefix longer than the buffer");
     scratch.delivered.assign(buf.begin(),
@@ -115,7 +132,7 @@ void System::check_pid(ProcessId p, const char* who) const {
 
 const std::deque<Message>& System::buffer(ProcessId p) const {
     check_pid(p, "System::buffer");
-    return buffers_[p - 1];
+    return *buffers_[p - 1];
 }
 
 bool System::crashed(ProcessId p) const {
@@ -138,37 +155,36 @@ std::optional<Value> System::decision_of(ProcessId p) const {
     return decisions_[p - 1];
 }
 
-std::deque<Message>* System::find_buffered(
-        MessageId id, std::deque<Message>::iterator* out_it) {
-    for (auto& buf : buffers_) {
+std::optional<System::BufferedAt> System::find_buffered(MessageId id) const {
+    for (ProcessId q = 1; q <= n_; ++q) {
+        const std::deque<Message>& buf = *buffers_[q - 1];
         auto it = std::find_if(buf.begin(), buf.end(),
                                [id](const Message& m) { return m.id == id; });
-        if (it != buf.end()) {
-            *out_it = it;
-            return &buf;
-        }
+        if (it != buf.end())
+            return BufferedAt{q, static_cast<std::size_t>(it - buf.begin())};
     }
-    return nullptr;
+    return std::nullopt;
 }
 
 void System::apply_fault(const FaultAction& action, StepRecord& rec) {
     switch (action.kind) {
         case FaultAction::Kind::kDropMessage: {
-            std::deque<Message>::iterator it;
-            std::deque<Message>* buf = find_buffered(action.message, &it);
-            KSA_REQUIRE(buf != nullptr,
+            const auto at = find_buffered(action.message);
+            KSA_REQUIRE(at.has_value(),
                         "System::apply_fault: dropped message not buffered");
-            if (buf == nullptr) return;  // Policy::kCount: stay memory-safe
+            if (!at) return;  // Policy::kCount: stay memory-safe
+            std::deque<Message>& buf = own_buffer(at->owner);
+            const auto it = buf.begin() + static_cast<std::ptrdiff_t>(at->pos);
             rec.dropped.push_back(*it);
-            buf->erase(it);
+            buf.erase(it);
             return;
         }
         case FaultAction::Kind::kDuplicateMessage: {
-            std::deque<Message>::iterator it;
-            std::deque<Message>* buf = find_buffered(action.message, &it);
-            KSA_REQUIRE(buf != nullptr,
+            const auto at = find_buffered(action.message);
+            KSA_REQUIRE(at.has_value(),
                         "System::apply_fault: duplicated message not buffered");
-            if (buf == nullptr) return;
+            if (!at) return;
+            const Message* it = &(*buffers_[at->owner - 1])[at->pos];
             // Cloning a clone would nest the derived-id scheme of
             // message.hpp; the chaos layer only duplicates originals.
             KSA_REQUIRE(!is_injected_message_id(it->id),
@@ -183,7 +199,7 @@ void System::apply_fault(const FaultAction& action, StepRecord& rec) {
                        it->id * kMaxDuplicatesPerMessage +
                        static_cast<MessageId>(++count);
             rec.injected.push_back(clone);
-            buffers_[clone.to - 1].push_back(std::move(clone));
+            own_buffer(clone.to).push_back(std::move(clone));
             return;
         }
         case FaultAction::Kind::kCrashProcess: {
@@ -207,11 +223,11 @@ void System::apply_fault(const FaultAction& action, StepRecord& rec) {
             return;
         }
         case FaultAction::Kind::kCorruptMessage: {
-            std::deque<Message>::iterator it;
-            std::deque<Message>* buf = find_buffered(action.message, &it);
-            KSA_REQUIRE(buf != nullptr,
+            const auto at = find_buffered(action.message);
+            KSA_REQUIRE(at.has_value(),
                         "System::apply_fault: corrupted message not buffered");
-            if (buf == nullptr) return;
+            if (!at) return;
+            Message* it = &own_buffer(at->owner)[at->pos];
             // Forgeries of forgeries would nest the derived-id schemes of
             // message.hpp; the chaos layer only corrupts originals.
             KSA_REQUIRE(!is_injected_message_id(it->id),
@@ -229,12 +245,12 @@ void System::apply_fault(const FaultAction& action, StepRecord& rec) {
             return;
         }
         case FaultAction::Kind::kEquivocate: {
-            std::deque<Message>::iterator it;
-            std::deque<Message>* buf = find_buffered(action.message, &it);
-            KSA_REQUIRE(buf != nullptr,
+            const auto at = find_buffered(action.message);
+            KSA_REQUIRE(at.has_value(),
                         "System::apply_fault: equivocation anchor not "
                         "buffered");
-            if (buf == nullptr) return;
+            if (!at) return;
+            const Message* it = &(*buffers_[at->owner - 1])[at->pos];
             KSA_REQUIRE(!is_injected_message_id(it->id),
                         "System::apply_fault: cannot equivocate an injected "
                         "message");
@@ -248,19 +264,23 @@ void System::apply_fault(const FaultAction& action, StepRecord& rec) {
             // receiver is rewritten (the forged id embeds the receiver,
             // so a second rewrite would collide).
             for (ProcessId q = 1; q <= n_; ++q) {
-                for (Message& m : buffers_[q - 1]) {
-                    if (is_injected_message_id(m.id)) continue;
-                    if (m.from != anchor.from || m.sent_at != anchor.sent_at ||
-                        !(m.payload == anchor.payload))
-                        continue;
-                    const Message original = m;
-                    m.id = equivocated_message_id(anchor.id, q);
-                    m.payload = equivocate_payload(original.payload,
-                                                   action.corrupt_seed, q, n_);
-                    rec.tampered.push_back(original);
-                    rec.forged.push_back(m);
-                    break;
-                }
+                const std::deque<Message>& buf = *buffers_[q - 1];
+                const auto sibling = std::find_if(
+                        buf.begin(), buf.end(), [&anchor](const Message& m) {
+                            return !is_injected_message_id(m.id) &&
+                                   m.from == anchor.from &&
+                                   m.sent_at == anchor.sent_at &&
+                                   m.payload == anchor.payload;
+                        });
+                if (sibling == buf.end()) continue;
+                const auto pos = static_cast<std::size_t>(sibling - buf.begin());
+                Message& m = own_buffer(q)[pos];
+                const Message original = m;
+                m.id = equivocated_message_id(anchor.id, q);
+                m.payload = equivocate_payload(original.payload,
+                                               action.corrupt_seed, q, n_);
+                rec.tampered.push_back(original);
+                rec.forged.push_back(m);
             }
             note_byzantine(anchor.from, 0, 1);
             return;
@@ -313,12 +333,19 @@ void System::apply_choice(const StepChoice& choice) {
     KSA_REQUIRE(allowed < 0 || step_counts_[p - 1] < allowed,
                 "System::apply_choice: crash plan exhausted for this process");
 
-    // Collect the delivered subset L from p's buffer.
-    auto& buf = buffers_[p - 1];
+    // Collect the delivered subset L from p's buffer.  Delivering
+    // everything from a shared buffer just drops this System's share.
     if (choice.deliver_all) {
-        rec.delivered.assign(buf.begin(), buf.end());
-        buf.clear();
-    } else {
+        std::shared_ptr<std::deque<Message>>& slot = buffers_[p - 1];
+        if (!slot->empty()) {
+            rec.delivered.assign(slot->begin(), slot->end());
+            if (slot.use_count() > 1)
+                slot = std::make_shared<std::deque<Message>>();
+            else
+                slot->clear();
+        }
+    } else if (!choice.deliver.empty()) {
+        std::deque<Message>& buf = own_buffer(p);
         for (MessageId id : choice.deliver) {
             auto it = std::find_if(buf.begin(), buf.end(),
                                    [id](const Message& m) { return m.id == id; });
@@ -355,7 +382,7 @@ void System::apply_choice(const StepChoice& choice) {
     }
 
     // The atomic state transition.
-    StepOutput out = behaviors_[p - 1]->on_step(input);
+    StepOutput out = own_behavior(p).on_step(input);
 
     // Is this the final step of a crashing process?
     const bool final_step =
@@ -375,7 +402,7 @@ void System::apply_choice(const StepChoice& choice) {
             rec.omitted.push_back(std::move(m));
         } else {
             rec.sent.push_back(m);
-            buffers_[dest - 1].push_back(std::move(m));
+            own_buffer(dest).push_back(std::move(m));
         }
     }
 

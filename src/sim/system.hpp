@@ -19,6 +19,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,20 +53,34 @@ public:
     System(const System&) = delete;
     System& operator=(const System&) = delete;
 
-    /// Deep snapshot of the live execution state: clones every Behavior
-    /// (Behavior::clone), copies buffers, step counts, crash flags,
-    /// decisions, the effective plan, the message-id counter and -- when
-    /// recording is enabled -- the partial Run record.  The fork can be
-    /// stepped independently of the original; the same choice sequence
+    /// Copy-on-write snapshot of the live execution state.  The fork
+    /// shares every Behavior and every message buffer with this System
+    /// and copies the rest: step counts, crash flags, decisions, the
+    /// effective plan, the message-id counter and -- when recording is
+    /// enabled -- the partial Run record.  Whichever of the two later
+    /// mutates a shared behavior or buffer first clones it
+    /// (Behavior::clone, or a buffer copy) and keeps the clone; the
+    /// other side never sees the change.  So the fork can be stepped
+    /// independently of the original, and the same choice sequence
     /// applied to both yields bit-identical states.  This is what lets
     /// the explorer expand children from live parent states instead of
-    /// replaying the whole schedule prefix per child (doc/performance.md).
+    /// replaying the whole schedule prefix per child
+    /// (doc/performance.md).
     ///
-    /// `verify_digests` additionally asserts (KSA_REQUIRE) that every
-    /// cloned behavior round-trips digest-identically -- the executable
-    /// form of the clone() contract.  It costs 2n digest renderings, so
-    /// it defaults to on in Debug/sanitizer builds and off in optimized
-    /// builds; hot paths pass false explicitly.
+    /// `verify_digests` makes the fork assert (KSA_REQUIRE) that every
+    /// behavior it clones while unsharing round-trips digest-identically
+    /// -- the executable form of the clone() contract.  It costs two
+    /// digest renderings per clone, so it defaults to on in
+    /// Debug/sanitizer builds and off in optimized builds; hot paths
+    /// pass false explicitly.
+    ///
+    /// Threads: a System may be forked and read from several threads at
+    /// once, and its forks stepped on other threads, because a shared
+    /// behavior or buffer is never written -- only a slot this System
+    /// alone holds is.  Stepping one System is still single-threaded,
+    /// and a System whose forks were used on other threads is stepped
+    /// again only after joining them: use_count() does not order the
+    /// in-place write after the other thread's reads.
     ///
     /// The failure-detector oracle (if any) is *borrowed*, not cloned:
     /// both systems keep querying the same oracle object.
@@ -164,8 +179,8 @@ public:
     std::optional<Value> decision_of(ProcessId p) const;
 
 private:
-    /// Tag + constructor backing fork(): copies everything except the
-    /// behaviors, which the caller clones one by one.
+    /// Tag + constructor backing fork(): copies the System, sharing
+    /// its behaviors and buffers.
     struct ForkTag {};
     System(ForkTag, const System& other);
 
@@ -174,10 +189,20 @@ private:
     /// Charges a realized Byzantine fault event to `sender` in both the
     /// live plan and the run record (FailurePlan::note_byzantine).
     void note_byzantine(ProcessId sender, int corruptions, int equivocations);
-    /// Locates a buffered message by id; returns the owning buffer or
-    /// nullptr.  `out_it` receives the message's position on success.
-    std::deque<Message>* find_buffered(MessageId id,
-                                       std::deque<Message>::iterator* out_it);
+
+    /// Where a buffered message sits: buffer of process `owner`, index
+    /// `pos`.
+    struct BufferedAt {
+        ProcessId owner = 0;
+        std::size_t pos = 0;
+    };
+    /// Locates a buffered message by id without unsharing anything.
+    std::optional<BufferedAt> find_buffered(MessageId id) const;
+
+    /// The behavior / buffer of p for writing: a slot shared with a
+    /// fork is first replaced by a private clone.
+    Behavior& own_behavior(ProcessId p);
+    std::deque<Message>& own_buffer(ProcessId p);
 
     int n_;
     std::string algo_name_;
@@ -186,8 +211,10 @@ private:
     FailurePlan plan_;
     FdOracle* oracle_;
 
-    std::vector<std::unique_ptr<Behavior>> behaviors_;  // index p-1
-    std::vector<std::deque<Message>> buffers_;          // index p-1
+    // Copy-on-write slots, index p-1: shared with forks until written
+    // (own_behavior / own_buffer).
+    std::vector<std::shared_ptr<Behavior>> behaviors_;
+    std::vector<std::shared_ptr<std::deque<Message>>> buffers_;
     std::vector<int> step_counts_;                      // index p-1
     std::vector<bool> crashed_;                         // index p-1
     std::vector<std::optional<Value>> decisions_;       // index p-1
@@ -198,6 +225,7 @@ private:
     Run run_;
     bool finished_ = false;
     bool recording_ = true;
+    bool verify_clones_ = false;  ///< see fork(verify_digests)
 };
 
 /// Convenience wrapper: build a System and execute it in one call.

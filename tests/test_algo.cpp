@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "algo/flooding.hpp"
 #include "algo/initial_clique.hpp"
 #include "algo/paxos_consensus.hpp"
@@ -10,6 +12,9 @@
 #include "algo/ranked_set_agreement.hpp"
 #include "core/kset_spec.hpp"
 #include "fd/sources.hpp"
+#include "graph/clique.hpp"
+#include "graph/digraph.hpp"
+#include "graph/scc.hpp"
 #include "sim/schedulers.hpp"
 #include "sim/system.hpp"
 #include "sim/trace.hpp"
@@ -99,6 +104,136 @@ TEST(InitialClique, NotLiveUnderMidRunCrash) {
                                nullptr, {.max_steps = 2000});
     EXPECT_EQ(run.stop, StopReason::kStepLimit);
     EXPECT_FALSE(run.all_correct_decided());
+}
+
+// The decision rule computed through the graph library: the heard-from
+// graph over all n ids, the subgraph induced by the participants, its
+// source components and one reachability pass per source.  This is the
+// oracle for the mask-based algo::initial_clique_decision.
+Value graph_rule_decision(int n, ProcessId self, Value input,
+                          const std::vector<int>& heard,
+                          const algo::InitialCliqueReports& known) {
+    std::vector<int> participants{self - 1};
+    for (const auto& [q, _] : known)
+        algo::insert_sorted_unique(participants, q - 1);
+
+    graph::Digraph g(n);
+    for (int u : heard) g.add_edge(u - 1, self - 1);
+    for (const auto& [q, info] : known)
+        for (int u : info.second)
+            if (u != q) g.add_edge(u - 1, q - 1);
+
+    std::vector<int> labels;
+    graph::Digraph sub = g.induced(participants, &labels);
+    const auto self_local = static_cast<int>(
+            std::find(labels.begin(), labels.end(), self - 1) -
+            labels.begin());
+    int best_member = -1;
+    for (const auto& sc : graph::source_components(sub)) {
+        auto reach = graph::reachable_from(sub, sc);
+        if (!std::binary_search(reach.begin(), reach.end(), self_local))
+            continue;
+        const int member = labels[sc.front()];
+        if (best_member == -1 || member < best_member) best_member = member;
+    }
+    const ProcessId rep = best_member + 1;
+    return rep == self ? input : known.at(rep).first;
+}
+
+/// Proposal of process q in the rule tests: distinct per id, so the
+/// decided value names the representative.
+Value proposal_of(ProcessId q) { return 100 + q; }
+
+/// The ids 1..n in `mask` (bit q-1 for process q), ascending.
+std::vector<int> ids_in(std::uint32_t mask, int n) {
+    std::vector<int> out;
+    for (int q = 1; q <= n; ++q)
+        if ((mask >> (q - 1)) & 1) out.push_back(q);
+    return out;
+}
+
+void expect_rule_matches_oracle(int n, ProcessId self,
+                                const std::vector<int>& heard,
+                                const algo::InitialCliqueReports& known) {
+    const Value input = proposal_of(self);
+    EXPECT_EQ(algo::initial_clique_decision(n, self, input, heard, known),
+              graph_rule_decision(n, self, input, heard, known))
+            << "n=" << n << " self=" << self;
+}
+
+// Every heard-from configuration for n <= 4: each self, each heard set
+// of other ids, and each process other than self either silent or
+// reporting any subset of 1..n -- lists naming the receiver, the
+// reporter itself or silent (non-participant) processes included, as a
+// Byzantine sender may forge them.
+TEST(InitialCliqueRule, MatchesGraphOracleExhaustivelyUpToN4) {
+    for (int n = 1; n <= 4; ++n) {
+        const std::uint32_t all = (1u << n) - 1;
+        const auto options = static_cast<std::uint32_t>(all + 2);
+        for (ProcessId self = 1; self <= n; ++self) {
+            const std::uint32_t others = all & ~(1u << (self - 1));
+            std::vector<ProcessId> reporters = ids_in(others, n);
+            std::uint64_t combos = 1;
+            for (std::size_t i = 0; i < reporters.size(); ++i)
+                combos *= options;
+            for (std::uint32_t h = 0; h <= all; ++h) {
+                if ((h & others) != h) continue;
+                const std::vector<int> heard = ids_in(h, n);
+                for (std::uint64_t c = 0; c < combos; ++c) {
+                    // Digit i of c: 0 = reporter i silent, d > 0 = it
+                    // reports the list with mask d-1.
+                    algo::InitialCliqueReports known;
+                    std::uint64_t digits = c;
+                    for (ProcessId q : reporters) {
+                        const auto d = static_cast<std::uint32_t>(
+                                digits % options);
+                        digits /= options;
+                        if (d > 0) known[q] = {proposal_of(q), ids_in(d - 1, n)};
+                    }
+                    expect_rule_matches_oracle(n, self, heard, known);
+                }
+            }
+        }
+    }
+}
+
+// Seeded random configurations for 5 <= n <= 8, same shapes.
+TEST(InitialCliqueRule, MatchesGraphOracleOnRandomConfigurationsUpToN8) {
+    std::mt19937_64 rng(20110606);
+    for (int n = 5; n <= 8; ++n) {
+        const std::uint32_t all = (1u << n) - 1;
+        for (int trial = 0; trial < 4000; ++trial) {
+            const auto self = static_cast<ProcessId>(1 + rng() % n);
+            const std::uint32_t others = all & ~(1u << (self - 1));
+            const std::vector<int> heard =
+                    ids_in(static_cast<std::uint32_t>(rng()) & others, n);
+            algo::InitialCliqueReports known;
+            for (ProcessId q : ids_in(others, n))
+                if (rng() % 3 != 0)
+                    known[q] = {proposal_of(q),
+                                ids_in(static_cast<std::uint32_t>(rng()) & all,
+                                       n)};
+            expect_rule_matches_oracle(n, self, heard, known);
+        }
+    }
+}
+
+TEST(InitialCliqueRule, RejectsIdsOutOfRange) {
+    algo::InitialCliqueReports known;
+    EXPECT_THROW(algo::initial_clique_decision(4, 1, 1, {5}, known),
+                 UsageError);
+    EXPECT_THROW(algo::initial_clique_decision(4, 1, 1, {1}, known),
+                 UsageError);
+    known[2] = {2, {0}};
+    EXPECT_THROW(algo::initial_clique_decision(4, 1, 1, {}, known),
+                 UsageError);
+}
+
+TEST(InitialClique, RejectsMoreProcessesThanTheMaskWidth) {
+    algo::InitialCliqueKSet algorithm(3);
+    EXPECT_NO_THROW(algorithm.make_behavior(1, algo::kInitialCliqueMaxN, 1));
+    EXPECT_THROW(algorithm.make_behavior(1, algo::kInitialCliqueMaxN + 1, 1),
+                 UsageError);
 }
 
 // ---------------------------------------------------------------- flooding

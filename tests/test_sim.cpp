@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "algo/flooding.hpp"
+#include "algo/initial_clique.hpp"
+#include "exec/parallel_map.hpp"
 #include "sim/admissibility.hpp"
 #include "sim/model.hpp"
 #include "sim/payload.hpp"
@@ -245,6 +249,162 @@ TEST(System, ForkIsIndependentOfTheOriginal) {
     EXPECT_EQ(original.buffer(2).size(), buffered_before);
     EXPECT_FALSE(original.decided(2));
     EXPECT_NE(forked->last_digest(2), digest_before);  // the fork did move
+}
+
+// ------------------------------------------------ copy-on-write forks
+//
+// fork() shares behaviors and buffers until one side writes them.  The
+// tests below render every observable piece of a System -- digests,
+// buffered messages with their ids, step counts, crash flags,
+// decisions and the effective plan -- and require the side that was
+// not stepped to render exactly as before.
+
+std::string render_state(const System& sys) {
+    std::ostringstream out;
+    out << "now=" << sys.now() << " plan=" << sys.plan().to_string() << '\n';
+    for (ProcessId p = 1; p <= sys.n(); ++p) {
+        out << 'p' << p << ' ' << sys.last_digest(p)
+            << " steps=" << sys.steps_of(p) << " crashed=" << sys.crashed(p)
+            << " decision=" << sys.decision_of(p).value_or(kNoValue) << " buf:";
+        for (const Message& m : sys.buffer(p))
+            out << " [" << m.id << '@' << m.sent_at << ' ' << m.to_string()
+                << ']';
+        out << '\n';
+    }
+    return out.str();
+}
+
+/// n=5 initial-clique system after every process took its stage-1
+/// step: each buffer holds four announcements.
+std::unique_ptr<System> announced_system(const Algorithm& algorithm) {
+    auto sys = std::make_unique<System>(algorithm, 5, distinct_inputs(5),
+                                        FailurePlan{});
+    for (ProcessId p = 1; p <= 5; ++p) {
+        StepChoice c;
+        c.process = p;
+        sys->apply_choice(c);
+    }
+    return sys;
+}
+
+StepChoice deliver_all_to(ProcessId p) {
+    StepChoice c;
+    c.process = p;
+    c.deliver_all = true;
+    return c;
+}
+
+TEST(SystemCow, SteppingEitherSideLeavesTheOtherUnchanged) {
+    auto algorithm = algo::make_flp_kset(5, 1);
+    auto parent = announced_system(*algorithm);
+    auto fork = parent->fork(/*verify_digests=*/true);
+    const std::string at_fork = render_state(*parent);
+    ASSERT_EQ(render_state(*fork), at_fork);
+
+    // Step the fork: the parent must not move.
+    fork->apply_choice(fork->prefix_choice(1, 1));
+    fork->apply_choice(deliver_all_to(2));
+    EXPECT_EQ(render_state(*parent), at_fork);
+    const std::string fork_after = render_state(*fork);
+    EXPECT_NE(fork_after, at_fork);
+
+    // Step the parent differently: the fork must not move.
+    parent->apply_choice(deliver_all_to(3));
+    parent->apply_choice(parent->prefix_choice(2, 2));
+    EXPECT_EQ(render_state(*fork), fork_after);
+
+    // A fork of a fork shares with both; stepping it moves neither.
+    const std::string parent_now = render_state(*parent);
+    auto grandchild = fork->fork(/*verify_digests=*/true);
+    grandchild->apply_choice(deliver_all_to(4));
+    EXPECT_EQ(render_state(*fork), fork_after);
+    EXPECT_EQ(render_state(*parent), parent_now);
+}
+
+/// The fault of each kind, aimed at messages of `sys`.
+std::vector<std::pair<std::string, FaultAction>> one_fault_per_kind(
+        const System& sys) {
+    std::vector<std::pair<std::string, FaultAction>> out;
+    FaultAction drop;
+    drop.kind = FaultAction::Kind::kDropMessage;
+    drop.message = sys.buffer(2).front().id;
+    out.emplace_back("drop", drop);
+    FaultAction dup;
+    dup.kind = FaultAction::Kind::kDuplicateMessage;
+    dup.message = sys.buffer(2).front().id;
+    out.emplace_back("duplicate", dup);
+    FaultAction corrupt;
+    corrupt.kind = FaultAction::Kind::kCorruptMessage;
+    corrupt.message = sys.buffer(3).front().id;
+    corrupt.corrupt_seed = 41;
+    out.emplace_back("corrupt", corrupt);
+    FaultAction equivocate;
+    equivocate.kind = FaultAction::Kind::kEquivocate;
+    equivocate.message = sys.buffer(4).front().id;
+    equivocate.corrupt_seed = 97;
+    out.emplace_back("equivocate", equivocate);
+    FaultAction crash;
+    crash.kind = FaultAction::Kind::kCrashProcess;
+    crash.process = 5;
+    crash.omit_to = {1, 2};
+    out.emplace_back("crash", crash);
+    return out;
+}
+
+TEST(SystemCow, EveryFaultKindOnOneSideLeavesTheOtherUnchanged) {
+    auto algorithm = algo::make_flp_kset(5, 1);
+    auto base = announced_system(*algorithm);
+    for (const auto& [name, fault] : one_fault_per_kind(*base)) {
+        // A step of p5 that carries the fault; p5 delivers nothing, so
+        // the fault is the only change to the other buffers.
+        StepChoice c;
+        c.process = 5;
+        c.faults.push_back(fault);
+
+        auto parent = base->fork(/*verify_digests=*/true);
+        auto fork = parent->fork(/*verify_digests=*/true);
+        const std::string at_fork = render_state(*parent);
+        fork->apply_choice(c);
+        EXPECT_EQ(render_state(*parent), at_fork) << name << " on the fork";
+        EXPECT_NE(render_state(*fork), at_fork) << name << " on the fork";
+
+        auto other = parent->fork(/*verify_digests=*/true);
+        parent->apply_choice(c);
+        EXPECT_EQ(render_state(*other), at_fork) << name << " on the parent";
+        // Same choice, same state: the two faulted sides agree.
+        EXPECT_EQ(render_state(*parent), render_state(*fork)) << name;
+    }
+}
+
+// Forks of one parent stepped concurrently from the exec workers.  Each
+// fork follows its own schedule; the result must equal the same
+// schedule run sequentially, and the shared parent must not move (the
+// TSan job runs this as the data-race check of the sharing).
+TEST(SystemCow, ForksOfOneParentSteppedFromSeveralWorkers) {
+    auto algorithm = algo::make_flp_kset(5, 1);
+    const auto parent = announced_system(*algorithm);
+    const std::string at_start = render_state(*parent);
+    auto run_fork = [&parent](std::size_t i, int /*worker*/) {
+        auto fork = parent->fork(/*verify_digests=*/false);
+        for (std::size_t s = 0; s < 12; ++s) {
+            const auto p = static_cast<ProcessId>(1 + (i + s * (i % 3 + 1)) % 5);
+            if (fork->crashed(p)) continue;
+            const std::size_t buffered = fork->buffer(p).size();
+            fork->apply_choice(fork->prefix_choice(p, (i + s) % 2 == 0
+                                                              ? buffered
+                                                              : buffered / 2));
+        }
+        return render_state(*fork);
+    };
+    constexpr std::size_t kForks = 24;
+    std::vector<std::string> sequential;
+    for (std::size_t i = 0; i < kForks; ++i)
+        sequential.push_back(run_fork(i, 0));
+    exec::TaskScheduler sched(4, /*oversubscribe=*/true);
+    const std::vector<std::string> parallel =
+            exec::parallel_map_grained(sched, kForks, 1, run_fork);
+    EXPECT_EQ(parallel, sequential);
+    EXPECT_EQ(render_state(*parent), at_start);
 }
 
 // -------------------------------------------------------------- schedulers
