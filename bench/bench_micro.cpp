@@ -209,9 +209,9 @@ void BM_DigestComputation(benchmark::State& state) {
 }
 BENCHMARK(BM_DigestComputation);
 
-// Allocations per explored state, fast vs reduced engine.  The ghost
-// stepping + scratch-reuse design keeps this a small constant; the
-// reduced engine must not regress it even though every candidate key
+// Allocations per explored state, full space vs reductions on.  The
+// ghost stepping + scratch-reuse design keeps this a small constant;
+// the reductions must not regress it even though every candidate key
 // additionally runs the absorption quotient (and, for symmetric
 // instances, the renamed walks).
 void BM_ExplorerAllocsPerState(benchmark::State& state) {
@@ -223,8 +223,8 @@ void BM_ExplorerAllocsPerState(benchmark::State& state) {
     cfg.k = 1;
     cfg.max_depth = 10;
     cfg.max_states = 400000;
-    cfg.mode = reduced ? core::ExploreMode::kReduced
-                       : core::ExploreMode::kFast;
+    cfg.reduction = reduced ? core::ReductionOptions{}
+                            : core::ReductionOptions::none();
     std::uint64_t allocs = 0;
     std::uint64_t states = 0;
     for (auto _ : state) {
@@ -257,7 +257,7 @@ void BM_ExplorerPeakMemory(benchmark::State& state) {
     cfg.k = 1;
     cfg.max_depth = 12;
     cfg.max_states = 400000;
-    cfg.mode = core::ExploreMode::kFast;
+    cfg.reduction = core::ReductionOptions::none();
     cfg.store.frontier_ram_bytes =
         static_cast<std::size_t>(state.range(0)) * 1024;
     double peak_mb = 0.0;

@@ -2,7 +2,7 @@
 //
 // Runs the Theorem 8 resilience sweep (chaos trials over the full
 // (n, k, f) grid), the large-n border map and the depth-14 flagship
-// kReduced exploration with 1 thread and with N threads, checks that
+// reduced exploration with 1 thread and with N threads, checks that
 // the outputs are byte-identical (the exec-layer determinism contract,
 // enforced end-to-end), and writes wall times and scaling to
 // BENCH_sweep.json (schema: doc/performance.md).
@@ -180,13 +180,12 @@ int main(int argc, char** argv) {
         .num("speedup", map_speedup)
         .boolean("rows_identical", map_identical);
 
-    // -- multi-threaded kReduced explorer -----------------------------
+    // -- multi-threaded reduced explorer ------------------------------
     // The reduction engine's 5.6-33x wins used to be benchmarked only
     // single-threaded; this row tracks whether layer parallelism
     // composes with the reduction (flagship depth-14, all axes on).
     core::ExploreConfig ecfg = flagship_config();
     if (quick) ecfg.max_depth = 8;
-    ecfg.mode = core::ExploreMode::kReduced;
     const auto algorithm = algo::make_flp_kset(3, 1);
     core::ExploreResult red_seq, red_par;
     ecfg.threads = 1;
@@ -218,11 +217,12 @@ int main(int argc, char** argv) {
     // -- scaling gate -------------------------------------------------
     bool scaling_ok = true;
     if (check) {
-        // Flagship kFast: multi-threaded must not lose to
-        // single-threaded (best of 3 each -- the gate runs RUN_SERIAL,
-        // but one cold-cache sample should not fail the build).
+        // Flagship full-space exploration (every reduction off):
+        // multi-threaded must not lose to single-threaded (best of 3
+        // each -- the gate runs RUN_SERIAL, but one cold-cache sample
+        // should not fail the build).
         core::ExploreConfig fcfg = flagship_config();
-        fcfg.mode = core::ExploreMode::kFast;
+        fcfg.reduction = core::ReductionOptions::none();
         core::ExploreResult fast_seq, fast_par;
         double fast_ms = 1e300, fast_mt_ms = 1e300;
         for (int r = 0; r < 3; ++r) {

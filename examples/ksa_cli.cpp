@@ -192,6 +192,7 @@ int cmd_explore(const Args& args) {
     cfg.k = args.geti("k", 1);
     cfg.max_depth = args.geti("depth", 10);
     if (args.has("dead")) cfg.plan.set_initially_dead(parse_ids(args.flags.at("dead")));
+    cfg.reduction = core::ReductionOptions::none();
     core::ExploreResult r = core::explore_schedules(*algorithm, cfg);
     std::cout << r.summary() << "\n";
     if (r.violation_found) {

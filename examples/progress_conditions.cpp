@@ -66,6 +66,7 @@ int main() {
     cfg.inputs = {10, 20, 30};
     cfg.k = 1;
     cfg.max_depth = 10;
+    cfg.reduction = core::ReductionOptions::none();
     core::ExploreResult result = core::explore_schedules(flood2, cfg);
     std::cout << "  " << result.summary() << "\n";
     if (result.violation_found) {

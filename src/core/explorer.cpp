@@ -1,7 +1,6 @@
 #include "core/explorer.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -19,20 +18,6 @@ namespace ksa::core {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Shared predicates (identical across all engines).
-
-bool quiescent(const System& sys, const ExploreConfig& cfg) {
-    for (ProcessId p = 1; p <= cfg.n; ++p) {
-        if (cfg.plan.is_faulty(p)) {
-            if (sys.can_step(p)) return false;
-        } else {
-            if (!sys.decision_of(p) || !sys.buffer(p).empty()) return false;
-        }
-    }
-    return true;
-}
-
 std::set<Value> decision_set(const System& sys, int n) {
     std::set<Value> out;
     for (ProcessId p = 1; p <= n; ++p) {
@@ -42,39 +27,10 @@ std::set<Value> decision_set(const System& sys, int n) {
     return out;
 }
 
-/// The three delivery modes for process p, in canonical order: deliver
-/// nothing, deliver the oldest buffered message, deliver the whole
-/// buffer (only when it differs from "oldest").  Every engine enumerates
-/// children in exactly this order so that BFS insertion order -- and
-/// therefore witness selection and max_states truncation -- is engine-
-/// independent.
-std::vector<StepChoice> delivery_modes(const System& sys, ProcessId p) {
-    std::vector<StepChoice> modes;
-    {
-        StepChoice none;
-        none.process = p;
-        modes.push_back(none);
-    }
-    const auto& buf = sys.buffer(p);
-    if (!buf.empty()) {
-        StepChoice oldest;
-        oldest.process = p;
-        oldest.deliver.push_back(buf.front().id);
-        modes.push_back(oldest);
-        if (buf.size() > 1) {
-            StepChoice all;
-            all.process = p;
-            for (const Message& m : buf) all.deliver.push_back(m.id);
-            modes.push_back(all);
-        }
-    }
-    return modes;
-}
-
 // ---------------------------------------------------------------------
 // State keys.
 //
-// All engines deduplicate on the same logical state:
+// The engine deduplicates on this logical state:
 //
 //   per process: crash flag, decision (if any), buffer contents in
 //   arrival order (sender + payload; message ids are simulator
@@ -82,65 +38,25 @@ std::vector<StepChoice> delivery_modes(const System& sys, ProcessId p) {
 //   reached by different schedules deduplicate), and -- iff the process
 //   has stepped at least once -- its canonical behavior digest.
 //
-// "Iff stepped" matters: the pre-snapshot engine recovered behavior
-// digests from StepRecord::digest_after, which only exists for
-// processes that stepped, so an unstepped process contributed the empty
-// string.  The live engines reproduce that convention exactly so that
-// all modes partition the state space identically, state counts match,
+// "Iff stepped" matters: the replay-based test oracle
+// (tests/support/explore_oracle.hpp) recovers behavior digests from
+// StepRecord::digest_after, which only exists for processes that
+// stepped, so an unstepped process contributes the empty string.  The
+// engine reproduces that convention exactly, so that with
+// ReductionOptions::none() both partition the state space identically
 // and the golden equivalence suite can require bit-identical
 // ExploreResults.
 //
-// Behavior digests are the expensive part of a key (one string
-// rendering over the whole local state).  A child configuration differs
-// from its parent by exactly one step of one process, so the layered
-// engines carry the digest vector alongside each node and re-render
-// only the stepped process's entry: n-1 of the n renderings the replay
-// baseline pays per candidate disappear.
-
-/// Canonical string key (reference mode).  `digests[p-1]` must be
-/// steps_of(p) > 0 ? last_digest(p) : "" -- byte-identical to the
-/// pre-snapshot engine's full_digest() of the same configuration.
-std::string canonical_state_string(const System& sys, int n,
-                                   const std::vector<std::string>& digests) {
-    std::ostringstream out;
-    for (ProcessId p = 1; p <= n; ++p) {
-        out << '|' << (sys.crashed(p) ? "X" : "");
-        auto d = sys.decision_of(p);
-        if (d) out << "D" << *d;
-        out << ';';
-        for (const Message& m : sys.buffer(p))
-            out << m.from << ':' << m.payload.to_string() << ',';
-    }
-    out << '#';
-    for (const std::string& d : digests) out << d << '|';
-    return out.str();
-}
-
-/// Folds one buffered message (sender + payload; identity fields
-/// excluded, mirroring the canonical rendering).
-void hash_message(StateHasher& h, ProcessId from, const Payload& payload) {
-    h.i64(from);
-    payload.fold(h);
-}
-
-/// 128-bit digest of one buffered message.  The fast engine hashes each
-/// message ONCE -- when it is sent -- caches the digest alongside the
-/// node, and folds the cached 128 bits into every state key the message
-/// participates in, instead of re-walking the payload per candidate
-/// (profiling shows payload re-walks dominating otherwise: a message
-/// sits in a buffer across many layers and each layer hashes 3n
-/// candidate children).
-Digest128 msg_hash(ProcessId from, const Payload& payload) {
-    StateHasher h;
-    hash_message(h, from, payload);
-    return h.digest();
-}
+// Behavior digests are the expensive part of a key (one fold over the
+// whole local state).  A child configuration differs from its parent by
+// exactly one step of one process, so the engine carries the digest
+// vector alongside each node (on the rematerializer's spine) and
+// re-digests only the stepped process's entry.
 
 /// 128-bit digest of one behavior's local state (Behavior::fold_state
-/// in a fresh hasher).  The fast engine keys behavior state on these
-/// instead of digest strings; the fold_state contract ("distinguishes
-/// exactly what state_digest distinguishes") makes the partition
-/// identical to the reference mode's, modulo hash collisions.
+/// in a fresh hasher).  The fold_state contract ("distinguishes exactly
+/// what state_digest distinguishes") makes the partition identical to
+/// the oracle's digest strings, modulo hash collisions.
 Digest128 behavior_hash(const Behavior& b) {
     StateHasher h;
     b.fold_state(h);
@@ -150,7 +66,7 @@ Digest128 behavior_hash(const Behavior& b) {
 /// Per-process behavior-state entry and per-node buffered-message
 /// digest cache of a hashed key: shared with the out-of-core store
 /// (src/store/rematerialize.hpp), whose delta-replay path advances the
-/// same caches the in-RAM frontier used to carry per node.
+/// caches along its spine.
 using store::BehaviorMark;
 using store::MessageHashes;
 
@@ -159,51 +75,20 @@ void fold_mark(StateHasher& h, const BehaviorMark& m) {
     if (m.stepped) h.fold(m.hash);
 }
 
-/// 128-bit hash key (fast mode): folds the same logical fields the
-/// canonical string renders -- buffered messages and behavior states
-/// via their cached digests -- without materializing any intermediate
-/// string.  Variable-length fields are length-prefixed so distinct
-/// configurations produce distinct feed sequences.  This version
-/// recomputes every per-message and per-behavior digest from the live
-/// System; it is used for the root key and for the debug cross-check
-/// of the store path's spine caches (an independent recompute that
-/// also validates the cache bookkeeping).
-Digest128 hash_state(const System& sys, int n) {
-    StateHasher h;
-    for (ProcessId p = 1; p <= n; ++p) {
-        h.u64(sys.crashed(p) ? 1 : 0);
-        auto d = sys.decision_of(p);
-        h.u64(d ? 1 : 0);
-        if (d) h.i64(*d);
-        const auto& buf = sys.buffer(p);
-        h.u64(buf.size());
-        for (const Message& m : buf) h.fold(msg_hash(m.from, m.payload));
-    }
-    for (ProcessId p = 1; p <= n; ++p) {
-        BehaviorMark m;
-        m.stepped = sys.steps_of(p) > 0;
-        if (m.stepped) m.hash = behavior_hash(sys.behavior_of(p));
-        fold_mark(h, m);
-    }
-    return h.digest();
-}
-
 // ---------------------------------------------------------------------
-// Ghost stepping (fast + reduced modes).
+// Ghost stepping.
 //
-// The profile of the snapshot engine is dominated by materializing and
-// destroying forked Systems for candidate children that deduplication
+// Exploration is dominated by candidate children that deduplication
 // then rejects (the reachable graph has far more edges than vertices).
-// The fast engine therefore computes a child's dedup key WITHOUT
-// forking: it clones only the stepping process's behavior, runs the
-// step on the clone, and hashes the parent's configuration with the
-// step's effects patched in -- p's delivered prefix removed from its
-// buffer, the step's surviving sends appended to their destination
-// buffers, p's decision/crash flag/behavior digest updated.  Only
-// children that survive deduplication are ever realized at all -- and
-// on the store path (src/store/) not even then: an accepted child is a
-// 16-byte delta record, re-forked from its parent's live state only
-// when its own expansion comes up.
+// The engine therefore computes a child's dedup key WITHOUT forking: it
+// clones only the stepping process's behavior, runs the step on the
+// clone, and hashes the parent's configuration with the step's effects
+// patched in -- p's delivered prefix removed from its buffer, the
+// step's surviving sends appended to their destination buffers, p's
+// decision/crash flag/behavior digest updated.  Only children that
+// survive deduplication are recorded at all, and then as a 16-byte
+// delta record, re-forked from its parent's live state only when its
+// own expansion comes up (src/store/).
 
 /// Effects of one ghost step of `stepper` on a behavior clone.
 struct GhostStep {
@@ -212,9 +97,8 @@ struct GhostStep {
     const std::set<ProcessId>* omit_to = nullptr;  ///< final-step omissions
     std::size_t delivered = 0;      ///< length of the delivered buffer prefix
     Digest128 bhash{};              ///< behavior_hash() after the step
-    /// The stepped clone, kept alive because the reduced engine folds
-    /// it again under every symmetry-group renaming
-    /// (fold_state_renamed); the fast engine only reads bhash.
+    /// The stepped clone, kept alive because dead-message judgement and
+    /// renamed child keys (fold_state_renamed) read it again.
     std::unique_ptr<Behavior> behavior;
 
     /// True iff the send `(dest)` actually reaches its buffer.
@@ -223,12 +107,11 @@ struct GhostStep {
     }
 };
 
-/// Runs one ghost step.  The delivery modes of the explorer always
-/// deliver a *prefix* of the buffer (nothing / the oldest message / the
-/// whole buffer), so the delivered set is just a prefix length.
-/// `scratch` is a caller-owned StepInput reused across candidates to
-/// amortize its allocations (System::deliver_prefix recycles the
-/// vector's capacity).
+/// Runs one ghost step.  The explorer's delivery modes always deliver
+/// a *prefix* of the buffer (nothing / the oldest message / the whole
+/// buffer), so the delivered set is just a prefix length.  `scratch` is
+/// a caller-owned StepInput reused across candidates to amortize its
+/// allocations (System::deliver_prefix recycles the vector's capacity).
 GhostStep ghost_step(const System& sys, ProcessId p, std::size_t delivered,
                      StepInput& scratch) {
     GhostStep g;
@@ -251,599 +134,30 @@ struct ArrivingSend {
 };
 
 /// Fills `arriving` with the ghost step's surviving sends in emission
-/// order, digested by `digest_send(stepper, payload)` -- msg_hash for
-/// the fast engine, reduced_msg_hash for the reduced engine (both
-/// engines share hash_child below; only the message digest differs).
-template <typename DigestSendFn>
+/// order, digested by reduced_msg_hash.
 void fill_arriving(const GhostStep& g, ProcessId stepper,
-                   const DigestSendFn& digest_send,
                    std::vector<ArrivingSend>& arriving) {
     arriving.clear();
     for (const auto& [dest, payload] : g.out.sends)
         if (g.send_survives(dest))
-            arriving.push_back({dest, digest_send(stepper, payload)});
-}
-
-/// Hash of the child configuration reached from `sys` by the ghost
-/// step: field-for-field identical to hash_state() of the realized
-/// child.  `arriving` must hold the surviving sends in emission order
-/// (fill_arriving).
-Digest128 hash_child(const System& sys, int n, ProcessId stepper,
-                     const GhostStep& g,
-                     const std::vector<BehaviorMark>& parent_marks,
-                     const MessageHashes& parent_mhash,
-                     const std::vector<ArrivingSend>& arriving) {
-    StateHasher h;
-    for (ProcessId q = 1; q <= n; ++q) {
-        const bool crashed_q = q == stepper ? g.final_crash : sys.crashed(q);
-        h.u64(crashed_q ? 1 : 0);
-        auto d = sys.decision_of(q);
-        if (q == stepper && g.out.decision) d = g.out.decision;
-        h.u64(d ? 1 : 0);
-        if (d) h.i64(*d);
-        const auto& mh = parent_mhash[q - 1];
-        const std::size_t skip = q == stepper ? g.delivered : 0;
-        std::size_t arriving_q = 0;
-        for (const ArrivingSend& a : arriving)
-            if (a.dest == q) ++arriving_q;
-        h.u64(mh.size() - skip + arriving_q);
-        for (std::size_t i = skip; i < mh.size(); ++i) h.fold(mh[i]);
-        // apply_choice appends sends in emission order, after removing
-        // the delivered prefix (self-sends land behind the survivors).
-        for (const ArrivingSend& a : arriving)
-            if (a.dest == q) h.fold(a.hash);
-    }
-    for (ProcessId q = 1; q <= n; ++q) {
-        if (q == stepper)
-            fold_mark(h, BehaviorMark{true, g.bhash});
-        else
-            fold_mark(h, parent_marks[q - 1]);
-    }
-    return h.digest();
+            arriving.push_back({dest, reduced_msg_hash(stepper, payload)});
 }
 
 // ---------------------------------------------------------------------
-// Layer-parallel plumbing shared by the layered engines.
-//
-// Each engine owns one work-stealing TaskScheduler for the whole
-// exploration; per-worker scratch is sized to sched.size() and reused
-// across every layer a worker touches.  Layers (blocks, on the store
-// path) below the sequential threshold run inline; dispatched work is
-// chunked with the scheduler's auto grain and rebalanced by stealing.
-// The chosen grain/threshold and the steal count are recorded into the
-// result as observability -- they describe the machine and the timing,
-// not the exploration, so they stay out of every report and
-// equivalence comparison.
-
-std::size_t resolve_threshold(const ExploreConfig& cfg,
-                              const exec::TaskScheduler& sched) {
-    return cfg.min_parallel_frontier != 0
-                   ? cfg.min_parallel_frontier
-                   : exec::TaskScheduler::sequential_threshold(sched.size());
-}
-
-void record_parallel_observability(ExploreResult& result,
-                                   const exec::TaskScheduler& sched,
-                                   std::size_t threshold,
-                                   std::size_t max_dispatched) {
-    result.parallel_threshold = threshold;
-    result.parallel_grain =
-            max_dispatched == 0
-                    ? 0
-                    : exec::TaskScheduler::auto_grain(max_dispatched,
-                                                      sched.size());
-    result.parallel_steals = sched.steal_count();
-}
-
-// ---------------------------------------------------------------------
-// Snapshot engine (reference mode).
-//
-// The frontier holds *live* System snapshots; a child is parent->fork()
-// plus one apply_choice.  Recording is off: the schedule script kept
-// alongside each node is the record.  Deliberately simple and entirely
-// in-RAM: this is the collision-free cross-check the hashed store-path
-// engines are validated against, so it shares none of their machinery.
-//
-// The BFS is layered so that layers can be expanded in parallel:
-// expansion (pure, per-node) happens through parallel_map_grained, and
-// all mutation of the shared result/visited state happens in a
-// sequential merge that consumes the expansions in input order.  The
-// merge replays the exact bookkeeping order of the sequential
-// pre-snapshot engine -- pop-time max_states check, expansion counting,
-// first-in-BFS-order witness, child insertion order -- so the output is
-// byte-identical across engines and thread counts.
-
-/// One link of a shared schedule-prefix chain.  Frontier nodes share
-/// their prefixes structurally instead of copying O(depth) StepChoices
-/// per node; a witness schedule is materialized only when a violation
-/// is actually found.  shared_ptr reference counts are atomic, so
-/// chains may be extended concurrently from distinct expansions.
-struct ScriptLink {
-    std::shared_ptr<const ScriptLink> parent;
-    StepChoice choice;
-};
-
-std::vector<StepChoice> materialize_script(const ScriptLink* tail) {
-    std::vector<StepChoice> out;
-    for (const ScriptLink* l = tail; l != nullptr; l = l->parent.get())
-        out.push_back(l->choice);
-    std::reverse(out.begin(), out.end());
-    return out;
-}
-
-template <typename Key>
-struct Child {
-    Key key{};
-    std::unique_ptr<System> sys;
-    std::vector<std::string> digests;  ///< per-process behavior digests
-    StepChoice choice;
-};
-
-template <typename Key>
-struct Expansion {
-    std::set<Value> decided;
-    bool is_quiescent = false;
-    std::vector<Value> outcome;  ///< filled iff is_quiescent
-    bool at_depth = false;
-    std::vector<Child<Key>> children;
-};
-
-template <typename Key>
-struct Node {
-    std::unique_ptr<System> sys;
-    /// steps_of(p) > 0 ? last_digest(p) : "" per process -- see the
-    /// state-key comment.
-    std::vector<std::string> digests;
-    std::shared_ptr<const ScriptLink> script;  ///< nullptr at the root
-    int depth = 0;
-};
-
-/// Expands one frontier node: classifies it and, unless it is quiescent
-/// or at the depth bound, forks one child per (live process, delivery
-/// mode).  Touches only the node and freshly forked copies -- safe to
-/// run concurrently on distinct nodes.
-template <typename Key, typename KeyFn>
-Expansion<Key> expand_node(const Node<Key>& node, const ExploreConfig& cfg,
-                           const KeyFn& make_key) {
-    Expansion<Key> e;
-    const System& sys = *node.sys;
-    e.decided = decision_set(sys, cfg.n);
-    if (quiescent(sys, cfg)) {
-        e.is_quiescent = true;
-        e.outcome.assign(cfg.n, kNoValue);
-        for (ProcessId p = 1; p <= cfg.n; ++p) {
-            auto d = sys.decision_of(p);
-            if (d) e.outcome[p - 1] = *d;
-        }
-        return e;
-    }
-    if (node.depth >= cfg.max_depth) {
-        e.at_depth = true;
-        return e;
-    }
-    for (ProcessId p = 1; p <= cfg.n; ++p) {
-        if (!sys.can_step(p)) continue;
-        // Skip steps that provably change nothing: a decided correct
-        // process with an empty buffer.
-        if (!cfg.plan.is_faulty(p) && sys.decision_of(p) &&
-            sys.buffer(p).empty())
-            continue;
-        for (StepChoice& mode : delivery_modes(sys, p)) {
-            Child<Key> child;
-            child.sys = sys.fork();
-            child.sys->apply_choice(mode);
-            // Only process p stepped: every other behavior digest is
-            // unchanged from the parent.
-            child.digests = node.digests;
-            child.digests[p - 1] = child.sys->last_digest(p);
-            child.key = make_key(*child.sys, child.digests);
-            child.choice = std::move(mode);
-            e.children.push_back(std::move(child));
-        }
-    }
-    return e;
-}
-
-template <typename Key, typename KeyFn>
-ExploreResult explore_snapshot(const Algorithm& algorithm,
-                               const ExploreConfig& cfg,
-                               const KeyFn& make_key) {
-    ExploreResult result;
-    // Deterministic container on purpose (ksa-verify): the frontier is
-    // cut off by max_states, so *which* states fall inside the explored
-    // set must not depend on hash-iteration order or hash seeding --
-    // two runs of the explorer must produce identical reports.
-    std::set<Key> visited;
-
-    exec::TaskScheduler sched(cfg.threads < 1 ? 1 : cfg.threads);
-    const std::size_t threshold = resolve_threshold(cfg, sched);
-    std::size_t max_dispatched = 0;
-
-    std::vector<Node<Key>> layer;
-    {
-        auto root =
-                std::make_unique<System>(algorithm, cfg.n, cfg.inputs, cfg.plan);
-        root->set_recording(false);
-        Node<Key> node;
-        node.digests.assign(static_cast<std::size_t>(cfg.n), std::string());
-        visited.insert(make_key(*root, node.digests));
-        node.sys = std::move(root);
-        layer.push_back(std::move(node));
-    }
-
-    bool truncated = false;
-    while (!layer.empty() && !truncated) {
-        if (cfg.collect_layer_sizes)
-            result.layer_frontier_sizes.push_back(layer.size());
-        // Parallel phase: expand every node of the layer independently
-        // (inline below the adaptive threshold -- byte-identical).
-        if (sched.size() > 1 && layer.size() >= threshold &&
-            layer.size() > max_dispatched)
-            max_dispatched = layer.size();
-        std::vector<Expansion<Key>> expansions = exec::parallel_map_grained(
-                sched, layer.size(), /*grain=*/0,
-                [&](std::size_t i, int) {
-                    return expand_node(layer[i], cfg, make_key);
-                },
-                threshold);
-
-        // Sequential merge, in input order (= the sequential engine's
-        // pop order).
-        std::vector<Node<Key>> next;
-        for (std::size_t i = 0; i < layer.size(); ++i) {
-            if (visited.size() > cfg.max_states) {
-                result.exhaustive = false;
-                truncated = true;
-                break;
-            }
-            ++result.schedules_expanded;
-            Expansion<Key>& e = expansions[i];
-            result.reachable_decision_sets.insert(e.decided);
-            if (static_cast<int>(e.decided.size()) > cfg.k &&
-                !result.violation_found) {
-                result.violation_found = true;
-                result.witness = materialize_script(layer[i].script.get());
-            }
-            if (e.is_quiescent) {
-                result.quiescent_outcomes.insert(std::move(e.outcome));
-                continue;
-            }
-            if (e.at_depth) {
-                result.exhaustive = false;
-                continue;
-            }
-            for (Child<Key>& c : e.children) {
-                if (visited.insert(c.key).second) {
-                    Node<Key> node;
-                    node.sys = std::move(c.sys);
-                    node.digests = std::move(c.digests);
-                    node.script = std::make_shared<const ScriptLink>(
-                            ScriptLink{layer[i].script, std::move(c.choice)});
-                    node.depth = layer[i].depth + 1;
-                    next.push_back(std::move(node));
-                } else {
-                    ++result.dedup_hits;
-                }
-            }
-        }
-        layer = std::move(next);
-    }
-    result.states_explored = visited.size();
-    record_parallel_observability(result, sched, threshold, max_dispatched);
-    return result;
-}
-
-// ---------------------------------------------------------------------
-// Store-path engines (fast + reduced): the layered ghost-step BFS over
-// the out-of-core store (src/store/, doc/performance.md §6).
-//
-// A frontier node is a 16-byte DeltaRecord -- (parent id, stepper,
-// delivered-prefix length) -- not a live System; node ids are BFS
-// acceptance sequence numbers, so a layer is a contiguous id interval
-// of the append-only DeltaStore and "popping the next layer" is
-// advancing an id range.  Each layer is processed in blocks of
-// StoreOptions::expand_block nodes through three phases:
-//
-//   1. EXPAND (parallel): each worker re-materializes its nodes from
-//      delta records through a per-worker store::Rematerializer --
-//      which keeps a spine of forked Systems along the root path, so
-//      the common case re-forks from the direct parent and replays one
-//      step -- and ghost-steps every (live process, delivery mode)
-//      candidate into a dedup key.  Pure reads of the shared stores.
-//
-//   2. DEDUP (parallel): the block's candidate keys, flattened in
-//      BFS candidate order, go through ShardedVisitedStore::
-//      insert_batch -- one task per shard, each shard owned by exactly
-//      one worker and processing its candidates in ascending global
-//      order, so the verdict vector is byte-identical to sequential
-//      insertion for every thread/shard/block configuration.
-//
-//   3. MERGE (sequential): consumes expansions + verdicts in input
-//      order and replays the exact bookkeeping order of the in-RAM
-//      engines -- pop-order max_states check, expansion counting,
-//      first-in-BFS-order witness (materialized on demand by delta
-//      replay), child append order.  Appends to the DeltaStore happen
-//      only here, which is the entire concurrency protocol: expansion
-//      phases read, the merge phase writes, nothing overlaps.
-//
-// Block boundaries affect CPU and resident memory only, never results:
-// the candidate stream seen by the visited store and the record stream
-// appended to the delta store are byte-identical for every
-// expand_block, and truncation (max_states) cuts both at the same
-// pop-order point the sequential engine would.
-
-/// A candidate child, described without materializing it: the
-/// (stepper, delivered-prefix-length) pair fully describes the step --
-/// exactly the payload of the DeltaRecord appended if the key survives
-/// deduplication.
-struct StoreChild {
-    Digest128 key{};
-    ProcessId stepper = 0;
-    std::uint32_t delivered = 0;  ///< length of the delivered buffer prefix
-};
-
-struct StoreExpansion {
-    std::set<Value> decided;
-    bool is_quiescent = false;
-    std::vector<Value> outcome;  ///< filled iff is_quiescent
-    bool at_depth = false;
-    std::size_t por_skips = 0;  ///< reduced engine only
-    std::vector<StoreChild> children;
-};
-
-#ifndef NDEBUG
-/// The executable form of the rematerializer contract: the spine's
-/// incrementally advanced caches equal a fresh recompute from the live
-/// System.  An accepted child's ghost key is a pure function of these
-/// caches, so this is the store-path descendant of the old "ghost key
-/// == realized state hash" assertion of the in-RAM engines.
-void check_node_caches(const store::MaterializedNode& node, int n,
-                       store::Rematerializer::DigestSendFn digest_send) {
-    for (ProcessId q = 1; q <= n; ++q) {
-        const BehaviorMark& m = (*node.marks)[q - 1];
-        require(m.stepped == (node.sys->steps_of(q) > 0),
-                "store path: stale stepped flag in spine cache");
-        if (m.stepped)
-            require(m.hash == behavior_hash(node.sys->behavior_of(q)),
-                    "store path: stale behavior digest in spine cache");
-        const auto& mh = (*node.mhash)[q - 1];
-        const auto& buf = node.sys->buffer(q);
-        require(mh.size() == buf.size(),
-                "store path: message-digest cache length mismatch");
-        for (std::size_t i = 0; i < mh.size(); ++i)
-            require(mh[i] == digest_send(buf[i].from, buf[i].payload),
-                    "store path: stale message digest in spine cache");
-    }
-}
-#endif
-
-/// The shared BFS driver of the store-path engines.  `Worker` carries
-/// the per-worker Rematerializer (`remat`) plus whatever expansion
-/// scratch the engine needs; `expand(node, worker, depth)` classifies
-/// one materialized node and returns its candidate children.
-template <typename Worker, typename ExpandFn>
-void run_store_bfs(const Algorithm& algorithm, const ExploreConfig& cfg,
-                   const Digest128& root_key,
-                   store::Rematerializer::DigestSendFn digest_send,
-                   const ExpandFn& expand, ExploreResult& result) {
-    exec::TaskScheduler sched(cfg.threads < 1 ? 1 : cfg.threads);
-    const std::size_t threshold = resolve_threshold(cfg, sched);
-    std::size_t max_dispatched = 0;
-
-    store::ShardedVisitedStore visited(cfg.store);
-    store::DeltaStore deltas(cfg.store);
-    std::vector<Worker> workers(static_cast<std::size_t>(sched.size()));
-    for (Worker& w : workers)
-        w.remat = std::make_unique<store::Rematerializer>(
-                algorithm, cfg.n, cfg.inputs, cfg.plan, deltas, digest_send);
-
-    visited.insert(root_key);
-    deltas.append(store::DeltaRecord{});  // the root: id 0, no real step
-    // Pop-order truncation bookkeeping.  The in-RAM engines check
-    // `visited.size() > max_states` when popping a node; insert_batch
-    // pre-inserts a whole block's survivors at once, so the equivalent
-    // sequential quantity -- root + children accepted by the merge so
-    // far -- is carried explicitly, and states_explored is reported
-    // from it for the same reason.
-    std::size_t states_accepted = 1;
-
-    const std::size_t block_cap =
-            cfg.store.expand_block == 0 ? 1 : cfg.store.expand_block;
-    std::vector<Digest128> keys;        // flattened candidate keys
-    std::vector<std::uint8_t> verdict;  // 1 = new, in candidate order
-
-    std::uint64_t layer_begin = 0;
-    std::uint64_t layer_end = 1;
-    int depth = 0;
-    bool truncated = false;
-    while (layer_begin < layer_end && !truncated) {
-        if (cfg.collect_layer_sizes)
-            result.layer_frontier_sizes.push_back(
-                    static_cast<std::size_t>(layer_end - layer_begin));
-        for (std::uint64_t block = layer_begin;
-             block < layer_end && !truncated; block += block_cap) {
-            const std::size_t count = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(block_cap, layer_end - block));
-            // Phase 1 (parallel): materialize + ghost-expand the block.
-            if (sched.size() > 1 && count >= threshold &&
-                count > max_dispatched)
-                max_dispatched = count;
-            std::vector<StoreExpansion> expansions =
-                    exec::parallel_map_grained(
-                            sched, count, /*grain=*/0,
-                            [&](std::size_t i, int w) {
-                                Worker& wk =
-                                        workers[static_cast<std::size_t>(w)];
-                                const store::MaterializedNode node =
-                                        wk.remat->materialize(block + i);
-#ifndef NDEBUG
-                                check_node_caches(node, cfg.n, digest_send);
-#endif
-                                return expand(node, wk, depth);
-                            },
-                            threshold);
-
-            // Phase 2 (parallel): dedup the block's candidates in one
-            // sharded batch.
-            keys.clear();
-            for (const StoreExpansion& e : expansions)
-                for (const StoreChild& c : e.children) keys.push_back(c.key);
-            visited.insert_batch(sched, keys, verdict);
-
-            // Phase 3 (sequential merge, input order = the sequential
-            // engine's pop order).
-            std::size_t vi = 0;
-            for (std::size_t i = 0; i < count; ++i) {
-                if (states_accepted > cfg.max_states) {
-                    result.exhaustive = false;
-                    truncated = true;
-                    break;
-                }
-                ++result.schedules_expanded;
-                StoreExpansion& e = expansions[i];
-                result.por_skips += e.por_skips;
-                result.reachable_decision_sets.insert(e.decided);
-                if (static_cast<int>(e.decided.size()) > cfg.k &&
-                    !result.violation_found) {
-                    result.violation_found = true;
-                    result.witness = workers[0].remat->script_of(block + i);
-                }
-                if (e.is_quiescent) {
-                    result.quiescent_outcomes.insert(std::move(e.outcome));
-                    continue;
-                }
-                if (e.at_depth) {
-                    result.exhaustive = false;
-                    continue;
-                }
-                for (const StoreChild& c : e.children) {
-                    if (verdict[vi++] != 0) {
-                        ++states_accepted;
-                        deltas.append(store::DeltaRecord{
-                                block + i,
-                                static_cast<std::uint32_t>(c.stepper),
-                                c.delivered});
-                    } else {
-                        ++result.dedup_hits;
-                    }
-                }
-            }
-            const std::size_t resident =
-                    visited.stats().resident_bytes + deltas.resident_bytes();
-            if (resident > result.peak_resident_bytes)
-                result.peak_resident_bytes = resident;
-        }
-        layer_begin = layer_end;
-        layer_end = deltas.size();
-        ++depth;
-    }
-
-    result.states_explored = states_accepted;
-    record_parallel_observability(result, sched, threshold, max_dispatched);
-    const store::VisitedStats vs = visited.stats();
-    result.store_shards = vs.shards;
-    result.filter_definite_new = vs.filter_negatives;
-    result.filter_false_positives = vs.filter_false_positives;
-    result.spilled_records = deltas.spilled_records();
-    result.spill_bytes = deltas.spill_bytes();
-    for (const Worker& w : workers) {
-        result.replay_steps += w.remat->replay_steps();
-        result.spill_reads += w.remat->spill_reads();
-    }
-}
-
-// ---------------------------------------------------------------------
-// Fast engine: ghost expansion over the store path.
-
-/// Per-worker state of the fast engine: the delta rematerializer plus
-/// ghost-step scratch, reused across every node the worker expands.
-struct FastWorker {
-    std::unique_ptr<store::Rematerializer> remat;
-    StepInput step;
-    std::vector<ArrivingSend> arriving;
-};
-
-/// Classifies one materialized node and ghost-steps every (live
-/// process, delivery mode) candidate.  Reads the node and clones
-/// single behaviors only -- safe to run concurrently on distinct nodes.
-StoreExpansion expand_fast(const store::MaterializedNode& node, int depth,
-                           const ExploreConfig& cfg, FastWorker& wk) {
-    StoreExpansion e;
-    const System& sys = *node.sys;
-    e.decided = decision_set(sys, cfg.n);
-    if (quiescent(sys, cfg)) {
-        e.is_quiescent = true;
-        e.outcome.assign(cfg.n, kNoValue);
-        for (ProcessId p = 1; p <= cfg.n; ++p) {
-            auto d = sys.decision_of(p);
-            if (d) e.outcome[p - 1] = *d;
-        }
-        return e;
-    }
-    if (depth >= cfg.max_depth) {
-        e.at_depth = true;
-        return e;
-    }
-    e.children.reserve(static_cast<std::size_t>(3 * cfg.n));
-    for (ProcessId p = 1; p <= cfg.n; ++p) {
-        if (!sys.can_step(p)) continue;
-        if (!cfg.plan.is_faulty(p) && sys.decision_of(p) &&
-            sys.buffer(p).empty())
-            continue;
-        // The delivered-prefix lengths of delivery_modes(), without
-        // materializing StepChoices: nothing, the oldest message, the
-        // whole buffer (iff it differs from "oldest").
-        const std::size_t buf_size = sys.buffer(p).size();
-        std::size_t prefixes[3];
-        std::size_t num_prefixes = 0;
-        prefixes[num_prefixes++] = 0;
-        if (buf_size >= 1) prefixes[num_prefixes++] = 1;
-        if (buf_size > 1) prefixes[num_prefixes++] = buf_size;
-        for (std::size_t m = 0; m < num_prefixes; ++m) {
-            GhostStep g = ghost_step(sys, p, prefixes[m], wk.step);
-            fill_arriving(g, p, msg_hash, wk.arriving);
-            StoreChild child;
-            child.key = hash_child(sys, cfg.n, p, g, *node.marks,
-                                   *node.mhash, wk.arriving);
-            child.stepper = p;
-            child.delivered = static_cast<std::uint32_t>(prefixes[m]);
-            e.children.push_back(child);
-        }
-    }
-    return e;
-}
-
-ExploreResult explore_fast(const Algorithm& algorithm,
-                           const ExploreConfig& cfg) {
-    ExploreResult result;
-    Digest128 root_key;
-    {
-        System root(algorithm, cfg.n, cfg.inputs, cfg.plan);
-        root_key = hash_state(root, cfg.n);
-    }
-    run_store_bfs<FastWorker>(
-            algorithm, cfg, root_key, &msg_hash,
-            [&cfg](const store::MaterializedNode& node, FastWorker& wk,
-                   int depth) { return expand_fast(node, depth, cfg, wk); },
-            result);
-    return result;
-}
-
-// ---------------------------------------------------------------------
-// Reduced engine (ExploreMode::kReduced): the fast engine's store-path
-// ghost-step BFS with the reduction layer (core/reduction.hpp) on top.
-// doc/performance.md carries the full soundness argument; in brief:
+// The reduction layer (core/reduction.hpp) on top of the ghost-step
+// BFS.  doc/performance.md carries the full soundness argument; in
+// brief:
 //
 //   * SYMMETRY -- dedup keys are canonicalized to the minimum digest
 //     over the symmetry group G (permutations fixing inputs + plan that
 //     the algorithm declares equivariance under): one representative
-//     per G-orbit is explored.  The identity element reuses the fast
-//     engine's incremental caches (with reduced_msg_hash as the
-//     message digest); non-identity elements fold the candidate from
-//     the parent's renamed-digest table (RenamedChildKeys, built once
-//     per expanded parent).  Decision-value sets are G-invariant;
-//     per-process quiescent outcome vectors are orbit-expanded over G
-//     before the result is returned.
+//     per G-orbit is explored.  The identity element folds the child
+//     from the spine's incremental caches (hash_child_reduced);
+//     non-identity elements fold it from the parent's renamed-digest
+//     table (RenamedChildKeys, built once per expanded parent).
+//     Decision-value sets are G-invariant; per-process quiescent
+//     outcome vectors are orbit-expanded over G before the result is
+//     returned.
 //
 //   * ABSORPTION -- the observational quotient of core/reduction.hpp:
 //     when the algorithm declares decisions final, a decided process
@@ -864,21 +178,24 @@ ExploreResult explore_fast(const Algorithm& algorithm,
 //     system can ever do.  Only that process is expanded; the other
 //     processes' moves are skipped and counted as por_skips.
 //
-// Unlike the other engines this explores a QUOTIENT of the reachable
+// With any axis on, the engine explores a QUOTIENT of the reachable
 // space: states_explored / schedules_expanded shrink, while
 // violation_found, reachable_decision_sets and quiescent_outcomes are
-// preserved (exactly so on exhaustive explorations).
+// preserved (exactly so on exhaustive explorations).  With
+// ReductionOptions::none() every step is the identity and the engine
+// explores the full configuration space.
 
 /// Quotient-aware quiescence: a process that has decided under a
 /// decisions-are-final algorithm is absorbed -- its undrained buffer
 /// and remaining (skipped) steps cannot change any decision, so the
 /// configuration's outcome vector is already the outcome vector of the
-/// fully drained configurations it represents.  Without decided-final
-/// absorption this is exactly quiescent().  Classifying quiescence on
-/// the quotient is what keeps outcomes observable at all: drain-only
-/// children hash equal to their parent and are deduplicated away, so
-/// the absorbed representative itself must be the state that records
-/// the outcome.
+/// fully drained configurations it represents.  Without absorption
+/// this is plain quiescence: every faulty process is stopped, every
+/// correct one has decided and drained its buffer.  Classifying
+/// quiescence on the quotient is what keeps outcomes observable at
+/// all: drain-only children hash equal to their parent and are
+/// deduplicated away, so the absorbed representative itself must be
+/// the state that records the outcome.
 bool quiescent_reduced(const System& sys, const ExploreConfig& cfg,
                        const AbsorptionContext& abs) {
     for (ProcessId p = 1; p <= cfg.n; ++p) {
@@ -901,12 +218,14 @@ bool quiescent_reduced(const System& sys, const ExploreConfig& cfg,
     return true;
 }
 
-/// Identity-renaming child key of the reduced engine: hash_child's
-/// cached-digest walk with the absorption quotient applied -- decided
-/// processes fold to their decision alone and dead messages (judged by
-/// the receiver's CHILD-state behavior) are deleted from buffer keys.
-/// Field-for-field identical to reduced_hash_state() of the realized
-/// child, and to hash_child() when the quotient is off.
+/// Identity-renaming child key: a walk over the parent's cached
+/// digests with the ghost step's effects patched in and the absorption
+/// quotient applied -- decided processes fold to their decision alone
+/// and dead messages (judged by the receiver's CHILD-state behavior)
+/// are deleted from buffer keys.  Field-for-field identical to
+/// reduced_hash_state() of the realized child.  Variable-length fields
+/// are length-prefixed so distinct configurations produce distinct
+/// feed sequences.
 Digest128 hash_child_reduced(const System& sys, int n, ProcessId stepper,
                              const GhostStep& g,
                              const std::vector<BehaviorMark>& parent_marks,
@@ -938,6 +257,8 @@ Digest128 hash_child_reduced(const System& sys, int n, ProcessId stepper,
                 payload_scratch.push_back(&payload);
         // Delete dead messages anywhere in the child's buffer
         // (buf[skip:] ++ arriving), judged by q's child-state behavior.
+        // apply_choice appends sends in emission order, after removing
+        // the delivered prefix (self-sends land behind the survivors).
         const Behavior& receiver =
                 q == stepper ? *g.behavior : sys.behavior_of(q);
         const auto& buf = sys.buffer(q);
@@ -973,10 +294,41 @@ Digest128 hash_child_reduced(const System& sys, int n, ProcessId stepper,
     return h.digest();
 }
 
-/// Per-worker state of the reduced engine: the delta rematerializer
-/// plus ghost/rename/payload scratch, reused across every node a
-/// worker expands.  Each worker owns exactly one: nothing is shared.
-struct ReducedWorker {
+// ---------------------------------------------------------------------
+// Expansion of one node.
+
+/// A candidate child, described without materializing it: the
+/// (stepper, delivered-prefix-length) pair fully describes the step --
+/// exactly the payload of the DeltaRecord appended if the key survives
+/// deduplication.
+struct StoreChild {
+    Digest128 key{};
+    ProcessId stepper = 0;
+    std::uint32_t delivered = 0;  ///< length of the delivered buffer prefix
+};
+
+struct StoreExpansion {
+    std::set<Value> decided;
+    bool is_quiescent = false;
+    std::vector<Value> outcome;  ///< filled iff is_quiescent
+    bool at_depth = false;
+    std::size_t por_skips = 0;
+    std::vector<StoreChild> children;
+};
+
+/// What every expansion of one exploration shares: the config plus the
+/// reduction context derived from it once.
+struct Exploration {
+    const Algorithm& algorithm;
+    const ExploreConfig& cfg;
+    SymmetryGroup group;
+    AbsorptionContext abs;
+};
+
+/// Per-worker state: the delta rematerializer plus ghost/rename/payload
+/// scratch, reused across every node a worker expands.  Each worker
+/// owns exactly one: nothing is shared.
+struct Worker {
     std::unique_ptr<store::Rematerializer> remat;
     StepInput step;
     RenamedChildKeys renamed;  ///< bound to the node being expanded
@@ -988,12 +340,10 @@ struct ReducedWorker {
 /// surviving candidates of one materialized node.  Reads the node, the
 /// calling worker's scratch and clones single behaviors only -- safe
 /// to run concurrently on distinct nodes.
-StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
-                              const ExploreConfig& cfg,
-                              const Algorithm& algorithm,
-                              const SymmetryGroup& group,
-                              const AbsorptionContext& abs,
-                              ReducedWorker& wk) {
+StoreExpansion expand(const store::MaterializedNode& node, int depth,
+                      const Exploration& x, Worker& wk) {
+    const ExploreConfig& cfg = x.cfg;
+    const AbsorptionContext& abs = x.abs;
     StoreExpansion e;
     const System& sys = *node.sys;
     e.decided = decision_set(sys, cfg.n);
@@ -1011,8 +361,11 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
         return e;
     }
 
-    // The enumerable moves, in the canonical (process, delivery-mode)
-    // order every engine uses.
+    // The enumerable moves, in canonical (process, delivery-mode) order:
+    // deliver nothing, the oldest buffered message, the whole buffer
+    // (only when it differs from "oldest").  This order fixes BFS
+    // insertion order -- and therefore witness selection and max_states
+    // truncation.
     struct ProcMoves {
         ProcessId p = 0;
         std::size_t prefixes[3] = {0, 0, 0};
@@ -1023,6 +376,8 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
     std::size_t total_moves = 0;
     for (ProcessId p = 1; p <= cfg.n; ++p) {
         if (!sys.can_step(p)) continue;
+        // Skip steps that provably change nothing: a decided correct
+        // process with an empty buffer.
         if (!cfg.plan.is_faulty(p) && sys.decision_of(p) &&
             sys.buffer(p).empty())
             continue;
@@ -1116,14 +471,14 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
 
     bool renamed_built = false;  // wk.renamed is built lazily, once
     auto emit_child = [&](ProcessId p, std::size_t delivered, GhostStep& g) {
-        fill_arriving(g, p, reduced_msg_hash, wk.arriving);
+        fill_arriving(g, p, wk.arriving);
         StoreChild child;
         child.key = hash_child_reduced(sys, cfg.n, p, g, *node.marks,
                                        *node.mhash, wk.arriving, abs,
                                        wk.payloads);
-        if (group.size() > 1) {
+        if (x.group.size() > 1) {
             if (!renamed_built) {
-                wk.renamed.build(sys, cfg.n, algorithm, group, abs);
+                wk.renamed.build(sys, cfg.n, x.algorithm, x.group, abs);
                 renamed_built = true;
             }
             GhostEffects eff;
@@ -1142,9 +497,9 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
             std::unique_ptr<System> realized = sys.fork(false);
             realized->apply_choice(sys.prefix_choice(p, delivered));
             RenameScratch scratch;
-            require(canonical_state_key(*realized, cfg.n, algorithm, group,
-                                        scratch, abs) == child.key,
-                    "reduced engine: renamed child key differs from the "
+            require(canonical_state_key(*realized, cfg.n, x.algorithm,
+                                        x.group, scratch, abs) == child.key,
+                    "explorer: renamed child key differs from the "
                     "realized child's canonical key");
 #endif
         }
@@ -1170,165 +525,217 @@ StoreExpansion expand_reduced(const store::MaterializedNode& node, int depth,
     return e;
 }
 
-ExploreResult explore_reduced(const Algorithm& algorithm,
-                              const ExploreConfig& cfg) {
-    ExploreResult result;
-
-    const SymmetryGroup group =
-            cfg.reduction.symmetry
-                    ? SymmetryGroup::compute(algorithm, cfg.n, cfg.inputs,
-                                             cfg.plan)
-                    : SymmetryGroup::trivial(cfg.n);
-
-    AbsorptionContext abs;
-    abs.strip_inert = cfg.reduction.absorption;
-    abs.decided_final =
-            cfg.reduction.absorption && algorithm.decided_is_final();
-
-    Digest128 root_key;
-    {
-        System root(algorithm, cfg.n, cfg.inputs, cfg.plan);
-        RenameScratch scratch;
-        root_key = canonical_state_key(root, cfg.n, algorithm, group,
-                                       scratch, abs);
+#ifndef NDEBUG
+/// The executable form of the rematerializer contract: the spine's
+/// incrementally advanced caches equal a fresh recompute from the live
+/// System.  An accepted child's ghost key is a pure function of these
+/// caches, so this also validates the ghost keys of every expanded
+/// node.
+void check_node_caches(const store::MaterializedNode& node, int n) {
+    for (ProcessId q = 1; q <= n; ++q) {
+        const BehaviorMark& m = (*node.marks)[q - 1];
+        require(m.stepped == (node.sys->steps_of(q) > 0),
+                "store path: stale stepped flag in spine cache");
+        if (m.stepped)
+            require(m.hash == behavior_hash(node.sys->behavior_of(q)),
+                    "store path: stale behavior digest in spine cache");
+        const auto& mh = (*node.mhash)[q - 1];
+        const auto& buf = node.sys->buffer(q);
+        require(mh.size() == buf.size(),
+                "store path: message-digest cache length mismatch");
+        for (std::size_t i = 0; i < mh.size(); ++i)
+            require(mh[i] == reduced_msg_hash(buf[i].from, buf[i].payload),
+                    "store path: stale message digest in spine cache");
     }
-    run_store_bfs<ReducedWorker>(
-            algorithm, cfg, root_key, &reduced_msg_hash,
-            [&](const store::MaterializedNode& node, ReducedWorker& wk,
-                int depth) {
-                return expand_reduced(node, depth, cfg, algorithm, group,
-                                      abs, wk);
-            },
-            result);
-
-    // Orbit-expand the quiescent outcomes: a pruned orbit member's runs
-    // are the renamed runs of its explored representative, so its
-    // outcome vectors are the renamed outcome vectors.
-    if (!group.is_trivial()) {
-        std::set<std::vector<Value>> expanded;
-        for (const std::vector<Value>& o : result.quiescent_outcomes)
-            for (std::size_t g = 0; g < group.size(); ++g)
-                expanded.insert(group.apply_to_outcome(g, o));
-        result.quiescent_outcomes = std::move(expanded);
-    }
-    return result;
 }
+#endif
 
 // ---------------------------------------------------------------------
-// Replay baseline.
+// The layered ghost-step BFS over the out-of-core store (src/store/,
+// doc/performance.md §6).
 //
-// The pre-snapshot engine, kept verbatim: every frontier entry is a
-// schedule script, every expansion replays the script on a fresh System
-// and every candidate key additionally replays *and finishes* a
-// throwaway copy to recover behavior digests from the Run record.  It
-// exists (a) as the baseline bench_model_check measures the snapshot
-// engine against and (b) as a third independent implementation for the
-// golden equivalence suite.  Single-threaded by nature.
+// A frontier node is a 16-byte DeltaRecord -- (parent id, stepper,
+// delivered-prefix length) -- not a live System; node ids are BFS
+// acceptance sequence numbers, so a layer is a contiguous id interval
+// of the append-only DeltaStore and "popping the next layer" is
+// advancing an id range.  Each layer is processed in blocks of
+// StoreOptions::expand_block nodes through three phases:
+//
+//   1. EXPAND (parallel): each worker re-materializes its nodes from
+//      delta records through a per-worker store::Rematerializer --
+//      which keeps a spine of forked Systems along the root path, so
+//      the common case re-forks from the direct parent and replays one
+//      step -- and ghost-steps every (live process, delivery mode)
+//      candidate into a dedup key.  Pure reads of the shared stores.
+//
+//   2. DEDUP (parallel): the block's candidate keys, flattened in
+//      BFS candidate order, go through ShardedVisitedStore::
+//      insert_batch -- one task per shard, each shard owned by exactly
+//      one worker and processing its candidates in ascending global
+//      order, so the verdict vector is byte-identical to sequential
+//      insertion for every thread/shard/block configuration.
+//
+//   3. MERGE (sequential): consumes expansions + verdicts in input
+//      order and replays the exact bookkeeping order of a sequential
+//      BFS -- pop-order max_states check, expansion counting,
+//      first-in-BFS-order witness (materialized on demand by delta
+//      replay), child append order.  Appends to the DeltaStore happen
+//      only here, which is the entire concurrency protocol: expansion
+//      phases read, the merge phase writes, nothing overlaps.
+//
+// Block boundaries affect CPU and resident memory only, never results:
+// the candidate stream seen by the visited store and the record stream
+// appended to the delta store are byte-identical for every
+// expand_block, and truncation (max_states) cuts both at the same
+// pop-order point a sequential BFS would.
+//
+// One work-stealing TaskScheduler serves the whole exploration;
+// per-worker scratch is sized to sched.size() and reused across every
+// block a worker touches.  Blocks below the scheduler's sequential
+// threshold run inline; dispatched work is chunked with the auto grain
+// and rebalanced by stealing.  The chosen grain/threshold and the steal
+// count are recorded into the result as observability -- they describe
+// the machine and the timing, not the exploration, so they stay out of
+// every report and equivalence comparison.
 
-/// Runs `script` on a fresh system; returns the system for inspection.
-std::unique_ptr<System> replay(const Algorithm& algorithm,
-                               const ExploreConfig& cfg,
-                               const std::vector<StepChoice>& script) {
-    auto sys = std::make_unique<System>(algorithm, cfg.n, cfg.inputs, cfg.plan);
-    for (const StepChoice& c : script) sys->apply_choice(c);
-    return sys;
-}
+void run_store_bfs(const Exploration& x, const Digest128& root_key,
+                   ExploreResult& result) {
+    const ExploreConfig& cfg = x.cfg;
+    exec::TaskScheduler sched(cfg.threads < 1 ? 1 : cfg.threads);
+    const std::size_t threshold =
+            exec::TaskScheduler::sequential_threshold(sched.size());
+    std::size_t max_dispatched = 0;
 
-/// Configuration-state digest *including* the per-process behavior
-/// state, reconstructed the pre-snapshot way: replay, then finish() a
-/// throwaway copy and read the digests out of the Run record.
-std::string baseline_full_digest(const Algorithm& algorithm,
-                                 const ExploreConfig& cfg,
-                                 const std::vector<StepChoice>& script) {
-    auto sys = std::make_unique<System>(algorithm, cfg.n, cfg.inputs, cfg.plan);
-    for (const StepChoice& c : script) sys->apply_choice(c);
-    std::ostringstream out;
-    for (ProcessId p = 1; p <= cfg.n; ++p) {
-        out << '|' << (sys->crashed(p) ? "X" : "");
-        auto d = sys->decision_of(p);
-        if (d) out << "D" << *d;
-        out << ';';
-        for (const Message& m : sys->buffer(p))
-            out << m.from << ':' << m.payload.to_string() << ',';
-    }
-    Run run = sys->finish(StopReason::kSchedulerEnded);
-    std::vector<std::string> last(cfg.n);
-    for (const StepRecord& s : run.steps) last[s.process - 1] = s.digest_after;
-    out << '#';
-    for (const std::string& d : last) out << d << '|';
-    return out.str();
-}
+    store::ShardedVisitedStore visited(cfg.store);
+    store::DeltaStore deltas(cfg.store);
+    std::vector<Worker> workers(static_cast<std::size_t>(sched.size()));
+    for (Worker& w : workers)
+        w.remat = std::make_unique<store::Rematerializer>(
+                x.algorithm, cfg.n, cfg.inputs, cfg.plan, deltas,
+                &reduced_msg_hash);
 
-ExploreResult explore_replay_baseline(const Algorithm& algorithm,
-                                      const ExploreConfig& cfg) {
-    ExploreResult result;
-    std::set<std::string> visited;
-    std::deque<std::vector<StepChoice>> frontier;
-    frontier.push_back({});
-    visited.insert(baseline_full_digest(algorithm, cfg, {}));
+    visited.insert(root_key);
+    deltas.append(store::DeltaRecord{});  // the root: id 0, no real step
+    // Pop-order truncation bookkeeping.  A sequential BFS checks
+    // `visited.size() > max_states` when popping a node; insert_batch
+    // pre-inserts a whole block's survivors at once, so the equivalent
+    // sequential quantity -- root + children accepted by the merge so
+    // far -- is carried explicitly, and states_explored is reported
+    // from it for the same reason.
+    std::size_t states_accepted = 1;
 
-    while (!frontier.empty()) {
-        if (visited.size() > cfg.max_states) {
-            result.exhaustive = false;
-            break;
-        }
-        std::vector<StepChoice> script = std::move(frontier.front());
-        frontier.pop_front();
-        ++result.schedules_expanded;
+    const std::size_t block_cap =
+            cfg.store.expand_block == 0 ? 1 : cfg.store.expand_block;
+    std::vector<Digest128> keys;        // flattened candidate keys
+    std::vector<std::uint8_t> verdict;  // 1 = new, in candidate order
 
-        auto sys = replay(algorithm, cfg, script);
-        const std::set<Value> decided = decision_set(*sys, cfg.n);
-        result.reachable_decision_sets.insert(decided);
-        if (static_cast<int>(decided.size()) > cfg.k &&
-            !result.violation_found) {
-            result.violation_found = true;
-            result.witness = script;
-        }
-        if (quiescent(*sys, cfg)) {
-            std::vector<Value> outcome(cfg.n, kNoValue);
-            for (ProcessId p = 1; p <= cfg.n; ++p) {
-                auto d = sys->decision_of(p);
-                if (d) outcome[p - 1] = *d;
+    std::uint64_t layer_begin = 0;
+    std::uint64_t layer_end = 1;
+    int depth = 0;
+    bool truncated = false;
+    while (layer_begin < layer_end && !truncated) {
+        if (cfg.collect_layer_sizes)
+            result.layer_frontier_sizes.push_back(
+                    static_cast<std::size_t>(layer_end - layer_begin));
+        for (std::uint64_t block = layer_begin;
+             block < layer_end && !truncated; block += block_cap) {
+            const std::size_t count = static_cast<std::size_t>(
+                    std::min<std::uint64_t>(block_cap, layer_end - block));
+            // Phase 1 (parallel): materialize + ghost-expand the block.
+            if (sched.size() > 1 && count >= threshold &&
+                count > max_dispatched)
+                max_dispatched = count;
+            std::vector<StoreExpansion> expansions =
+                    exec::parallel_map_grained(
+                            sched, count, /*grain=*/0,
+                            [&](std::size_t i, int w) {
+                                Worker& wk =
+                                        workers[static_cast<std::size_t>(w)];
+                                const store::MaterializedNode node =
+                                        wk.remat->materialize(block + i);
+#ifndef NDEBUG
+                                check_node_caches(node, cfg.n);
+#endif
+                                return expand(node, depth, x, wk);
+                            },
+                            threshold);
+
+            // Phase 2 (parallel): dedup the block's candidates in one
+            // sharded batch.
+            keys.clear();
+            for (const StoreExpansion& e : expansions)
+                for (const StoreChild& c : e.children) keys.push_back(c.key);
+            visited.insert_batch(sched, keys, verdict);
+
+            // Phase 3 (sequential merge, input order = a sequential
+            // BFS's pop order).
+            std::size_t vi = 0;
+            for (std::size_t i = 0; i < count; ++i) {
+                if (states_accepted > cfg.max_states) {
+                    result.exhaustive = false;
+                    truncated = true;
+                    break;
+                }
+                ++result.schedules_expanded;
+                StoreExpansion& e = expansions[i];
+                result.por_skips += e.por_skips;
+                result.reachable_decision_sets.insert(e.decided);
+                if (static_cast<int>(e.decided.size()) > cfg.k &&
+                    !result.violation_found) {
+                    result.violation_found = true;
+                    result.witness = workers[0].remat->script_of(block + i);
+                }
+                if (e.is_quiescent) {
+                    result.quiescent_outcomes.insert(std::move(e.outcome));
+                    continue;
+                }
+                if (e.at_depth) {
+                    result.exhaustive = false;
+                    continue;
+                }
+                for (const StoreChild& c : e.children) {
+                    if (verdict[vi++] != 0) {
+                        ++states_accepted;
+                        deltas.append(store::DeltaRecord{
+                                block + i,
+                                static_cast<std::uint32_t>(c.stepper),
+                                c.delivered});
+                    } else {
+                        ++result.dedup_hits;
+                    }
+                }
             }
-            result.quiescent_outcomes.insert(std::move(outcome));
-            continue;
+            const std::size_t resident =
+                    visited.stats().resident_bytes + deltas.resident_bytes();
+            if (resident > result.peak_resident_bytes)
+                result.peak_resident_bytes = resident;
         }
-        if (static_cast<int>(script.size()) >= cfg.max_depth) {
-            result.exhaustive = false;
-            continue;
-        }
-
-        for (ProcessId p = 1; p <= cfg.n; ++p) {
-            if (!sys->can_step(p)) continue;
-            if (!cfg.plan.is_faulty(p) && sys->decision_of(p) &&
-                sys->buffer(p).empty())
-                continue;
-            for (StepChoice& mode : delivery_modes(*sys, p)) {
-                std::vector<StepChoice> child = script;
-                child.push_back(std::move(mode));
-                std::string digest = baseline_full_digest(algorithm, cfg, child);
-                if (visited.insert(std::move(digest)).second)
-                    frontier.push_back(std::move(child));
-                else
-                    ++result.dedup_hits;
-            }
-        }
+        layer_begin = layer_end;
+        layer_end = deltas.size();
+        ++depth;
     }
-    result.states_explored = visited.size();
-    return result;
+
+    result.states_explored = states_accepted;
+    result.parallel_threshold = threshold;
+    result.parallel_grain =
+            max_dispatched == 0
+                    ? 0
+                    : exec::TaskScheduler::auto_grain(max_dispatched,
+                                                      sched.size());
+    result.parallel_steals = sched.steal_count();
+    const store::VisitedStats vs = visited.stats();
+    result.store_shards = vs.shards;
+    result.filter_definite_new = vs.filter_negatives;
+    result.filter_false_positives = vs.filter_false_positives;
+    result.spilled_records = deltas.spilled_records();
+    result.spill_bytes = deltas.spill_bytes();
+    for (const Worker& w : workers) {
+        result.replay_steps += w.remat->replay_steps();
+        result.spill_reads += w.remat->spill_reads();
+    }
 }
 
 }  // namespace
-
-std::string to_string(ExploreMode mode) {
-    switch (mode) {
-        case ExploreMode::kFast: return "fast";
-        case ExploreMode::kReference: return "reference";
-        case ExploreMode::kReplayBaseline: return "replay-baseline";
-        case ExploreMode::kReduced: return "reduced";
-    }
-    return "unknown";
-}
 
 std::string ExploreResult::summary() const {
     std::ostringstream out;
@@ -1350,22 +757,37 @@ ExploreResult explore_schedules(const Algorithm& algorithm,
     require(static_cast<int>(cfg.inputs.size()) == cfg.n,
             "explore_schedules: need n inputs");
 
-    switch (cfg.mode) {
-        case ExploreMode::kFast:
-            return explore_fast(algorithm, cfg);
-        case ExploreMode::kReference:
-            return explore_snapshot<std::string>(
-                    algorithm, cfg,
-                    [&cfg](const System& sys,
-                           const std::vector<std::string>& digests) {
-                        return canonical_state_string(sys, cfg.n, digests);
-                    });
-        case ExploreMode::kReplayBaseline:
-            return explore_replay_baseline(algorithm, cfg);
-        case ExploreMode::kReduced:
-            return explore_reduced(algorithm, cfg);
+    const Exploration x{
+            algorithm, cfg,
+            cfg.reduction.symmetry
+                    ? SymmetryGroup::compute(algorithm, cfg.n, cfg.inputs,
+                                             cfg.plan)
+                    : SymmetryGroup::trivial(cfg.n),
+            AbsorptionContext{cfg.reduction.absorption,
+                              cfg.reduction.absorption &&
+                                      algorithm.decided_is_final()}};
+
+    Digest128 root_key;
+    {
+        System root(algorithm, cfg.n, cfg.inputs, cfg.plan);
+        RenameScratch scratch;
+        root_key = canonical_state_key(root, cfg.n, algorithm, x.group,
+                                       scratch, x.abs);
     }
-    throw UsageError("explore_schedules: unknown ExploreMode");
+    ExploreResult result;
+    run_store_bfs(x, root_key, result);
+
+    // Orbit-expand the quiescent outcomes: a pruned orbit member's runs
+    // are the renamed runs of its explored representative, so its
+    // outcome vectors are the renamed outcome vectors.
+    if (!x.group.is_trivial()) {
+        std::set<std::vector<Value>> expanded;
+        for (const std::vector<Value>& o : result.quiescent_outcomes)
+            for (std::size_t g = 0; g < x.group.size(); ++g)
+                expanded.insert(x.group.apply_to_outcome(g, o));
+        result.quiescent_outcomes = std::move(expanded);
+    }
+    return result;
 }
 
 }  // namespace ksa::core

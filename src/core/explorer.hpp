@@ -27,18 +27,27 @@
 //
 // Engine (see doc/performance.md for the full design):
 //
-//   * the BFS frontier holds live System snapshots; children are made
-//     by System::fork() + one apply_choice, never by replaying the
-//     whole schedule prefix from the initial configuration;
+//   * the BFS frontier is a list of 16-byte delta records in an
+//     out-of-core store (src/store/); a node's live System is
+//     re-materialized by forking its parent and replaying one step;
+//   * a candidate child's dedup key is computed by ghost-stepping a
+//     clone of one behavior and patching the parent's cached digests,
+//     so rejected duplicates are never materialized;
 //   * frontier layers are expanded in parallel on the work-stealing
 //     scheduler (exec/task_scheduler.hpp, via exec/parallel_map.hpp)
 //     and merged sequentially in input order, so N-thread output is
 //     byte-identical to 1-thread output;
 //   * deduplication keys are deterministic 128-bit hashes
-//     (sim/digest.hpp) in the default fast mode, canonical strings in
-//     reference mode, and every mode inserts states in the same BFS
-//     order -- the max_states truncation cuts the same frontier
-//     regardless of mode or thread count.
+//     (sim/digest.hpp), optionally canonicalized by the reduction
+//     layer (ExploreConfig::reduction); states are inserted in BFS
+//     order, so the max_states truncation cuts the same frontier
+//     regardless of thread count or store sizing.
+//
+// With ReductionOptions::none() the engine explores the full
+// configuration space.  tests/support/explore_oracle.hpp holds an
+// independent, string-keyed, replay-based implementation of the same
+// search; the golden equivalence suite requires bit-identical results
+// from both.
 
 #include <cstdint>
 #include <set>
@@ -54,41 +63,13 @@
 
 namespace ksa::core {
 
-/// Which digest/stepping engine the exploration uses.  All modes
-/// produce identical ExploreResults on the same config (the golden
-/// equivalence suite in tests/test_explorer_equiv.cpp enforces it);
-/// they differ only in speed.
+/// The exploration engine.  There is one: the store-path ghost-step
+/// BFS with the reduction layer (core/reduction_options.hpp) on top;
+/// ReductionOptions::none() makes it explore the full space.  Kept as a
+/// one-value enum because existing configuration code assigns it.
 enum class ExploreMode {
-    /// Snapshot stepping + incremental 128-bit hash dedup (default).
-    kFast,
-    /// Snapshot stepping + canonical-string dedup: the reference the
-    /// fast path is cross-checked against.  Slower (one full string
-    /// rendering per candidate state), collision-free by construction.
-    kReference,
-    /// The pre-snapshot engine: every candidate state is digested by
-    /// replaying its entire schedule prefix on a fresh System and
-    /// finishing a throwaway copy.  Kept verbatim as the baseline that
-    /// BENCH_explorer.json measures the snapshot engine against, and as
-    /// a second cross-check.  Single-threaded; ignores `threads`.
-    kReplayBaseline,
-    /// The fast engine plus the reduction layer (core/reduction.hpp):
-    /// symmetry canonicalization of dedup keys, an observational
-    /// absorption quotient (decided-process collapse + dead-message
-    /// deletion) and persistent-set partial-order reduction.  UNLIKE
-    /// the other modes it explores a
-    /// *quotient* of the configuration space: states_explored /
-    /// schedules_expanded shrink, while violation_found,
-    /// reachable_decision_sets and quiescent_outcomes are preserved
-    /// (exactly on exhaustive explorations; doc/performance.md spells
-    /// out what weakens under max_depth / max_states truncation).
-    /// With every ExploreConfig::reduction axis off it partitions
-    /// states exactly like kFast and produces bit-identical results.
     kReduced,
 };
-
-/// Renders an ExploreMode for reports ("fast" / "reference" /
-/// "replay-baseline" / "reduced").
-std::string to_string(ExploreMode mode);
 
 /// Exploration parameters.
 struct ExploreConfig {
@@ -98,31 +79,30 @@ struct ExploreConfig {
     int k = 1;             ///< violation threshold: > k distinct decisions
     int max_depth = 12;    ///< schedule length bound
     std::size_t max_states = 200000;  ///< safety cap on distinct states
-    ExploreMode mode = ExploreMode::kFast;
+    ExploreMode mode = ExploreMode::kReduced;
     /// Worker threads for layer-parallel expansion (1 = sequential).
-    /// Output is byte-identical for every value.
+    /// Output is byte-identical for every value.  Layers smaller than
+    /// exec::TaskScheduler::sequential_threshold run inline on the
+    /// calling thread: per-region handoff overhead dwarfs the work on
+    /// tiny layers.
     int threads = 1;
-    /// Which reductions kReduced applies (ignored by the other modes).
+    /// Which reductions apply.  All on by default; set
+    /// ReductionOptions::none() to explore the full configuration
+    /// space.  With any axis on, the engine explores a *quotient*:
+    /// states_explored / schedules_expanded shrink, while
+    /// violation_found, reachable_decision_sets and quiescent_outcomes
+    /// are preserved (exactly on exhaustive explorations;
+    /// doc/performance.md spells out what weakens under max_depth /
+    /// max_states truncation).
     ReductionOptions reduction;
     /// Record per-layer frontier sizes into ExploreResult
     /// (observability; off by default to keep results lean).
     bool collect_layer_sizes = false;
-    /// Frontiers smaller than this are expanded inline on the calling
-    /// thread even when threads > 1: per-region handoff overhead dwarfs
-    /// the work on tiny layers (the sub-millisecond cases in
-    /// BENCH_explorer.json).  0 (the default) derives the threshold
-    /// from the scheduler's grain policy
-    /// (exec::TaskScheduler::sequential_threshold -- fewer than
-    /// kMinGrain items per worker is not worth a dispatch); a nonzero
-    /// value overrides it.  Output stays byte-identical either way.
-    std::size_t min_parallel_frontier = 0;
-    /// Sizing of the out-of-core store behind the layered engines
-    /// (kFast/kReduced): visited-set sharding, the probabilistic dedup
-    /// tier, the delta-frontier spill budget and the expansion block
-    /// size.  Every knob trades CPU or resident memory only -- results
-    /// are byte-identical for every setting (the equivalence suite
-    /// sweeps them).  kReference/kReplayBaseline ignore this: they are
-    /// the deliberately simple in-RAM cross-checks.
+    /// Sizing of the out-of-core store: visited-set sharding, the
+    /// probabilistic dedup tier, the delta-frontier spill budget and
+    /// the expansion block size.  Every knob trades CPU or resident
+    /// memory only -- results are byte-identical for every setting (the
+    /// equivalence suite sweeps them).
     store::StoreOptions store;
 };
 
@@ -132,33 +112,30 @@ struct ExploreResult {
     std::size_t schedules_expanded = 0;
     /// Candidate children rejected because their key was already in the
     /// visited set -- the edge-over-vertex surplus of the reachable
-    /// graph.  Identical across kFast/kReference/kReplayBaseline (same
-    /// candidates, same partition); in kReduced it additionally counts
-    /// symmetry-orbit merges.
+    /// graph.  With ReductionOptions::none() identical to the test
+    /// oracle's (same candidates, same partition); with symmetry on it
+    /// additionally counts orbit merges.
     std::size_t dedup_hits = 0;
-    /// Step choices skipped by the reduction layer (kReduced only; 0
-    /// in every other mode): persistent-set sibling moves plus the
-    /// skipped moves of absorbed (decided, decisions-final) processes.
+    /// Step choices skipped by the reduction layer (0 with por and
+    /// absorption off): persistent-set sibling moves plus the skipped
+    /// moves of absorbed (decided, decisions-final) processes.
     std::size_t por_skips = 0;
     /// Frontier size of each BFS layer, filled iff
-    /// ExploreConfig::collect_layer_sizes (layered engines only; the
-    /// replay baseline keeps a rolling queue and leaves this empty).
+    /// ExploreConfig::collect_layer_sizes.
     std::vector<std::size_t> layer_frontier_sizes;
-    /// Scheduler observability (layered engines; the replay baseline
-    /// leaves all three 0).  Excluded from the cross-engine/
+    /// Scheduler observability.  Excluded from the oracle and
     /// cross-thread equivalence comparisons and from every report:
     /// grain and threshold depend on the effective worker count (a
     /// machine property), and steals are timing-dependent by design.
     /// The grain chosen for the largest parallel-dispatched layer (0
     /// when every layer ran inline).
     std::size_t parallel_grain = 0;
-    /// The sequential-fallback threshold in effect (resolved from
-    /// ExploreConfig::min_parallel_frontier).
+    /// The sequential-fallback threshold in effect
+    /// (exec::TaskScheduler::sequential_threshold of the worker count).
     std::size_t parallel_threshold = 0;
     /// Successful work steals during this exploration.
     std::uint64_t parallel_steals = 0;
-    /// Out-of-core store observability (kFast/kReduced only; zero in
-    /// the in-RAM cross-check modes).  The tier counters and spill
+    /// Out-of-core store observability.  The tier counters and spill
     /// tallies are DETERMINISTIC -- pure functions of the key/record
     /// streams, which are byte-identical across thread counts -- so
     /// the equivalence suite pins them; replay_steps and spill_reads

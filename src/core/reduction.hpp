@@ -1,8 +1,8 @@
 #pragma once
 // State-space reduction for the explorer (core/explorer.hpp).
 //
-// The reduced exploration mode (ExploreMode::kReduced) shrinks the
-// explored configuration space along two orthogonal axes; this module
+// The explorer's reduction layer (ExploreConfig::reduction) shrinks the
+// explored configuration space along three orthogonal axes; this module
 // holds the machinery shared by both.  doc/performance.md carries the
 // full soundness argument; the short form:
 //
@@ -86,8 +86,8 @@ namespace ksa::core {
 
 /// Absorption switches derived once per exploration from
 /// ReductionOptions::absorption and the algorithm's declarations; the
-/// all-false default is the identity quotient (exactly the fast
-/// engine's keys).
+/// all-false default is the identity quotient (the full configuration
+/// space).
 struct AbsorptionContext {
     /// Strip maximal inert suffixes of buffers from dedup keys
     /// (Behavior::message_inert; a no-op for behaviors that never
@@ -202,12 +202,12 @@ std::uint64_t intern_tag(std::string_view tag);
 // Renamed / reduced state hashing.
 //
 // The reduced engine keys states on min over G of the renamed state's
-// digest.  The identity element reuses the fast engine's incremental
+// digest.  The identity element reuses the explorer's incremental
 // caches (explorer.cpp) with the reduced message digest below; the
 // non-identity elements fold a child from its parent's renamed-digest
 // table (RenamedChildKeys) or, for a whole state, re-walk it through
 // the renaming.  All functions fold EXACTLY the same field sequence as the
-// fast engine's hash_state/hash_child, so that for the identity
+// explorer's cached child walk (hash_child_reduced), so that for the identity
 // renaming the cached and walked digests coincide (debug builds assert
 // this on every realized child).
 
@@ -221,9 +221,9 @@ struct RenameScratch {
 };
 
 /// Reduced digest of one buffered message: sender id + interned tag id
-/// + length-prefixed ints/lists.  The reduced-mode counterpart of the
-/// fast engine's msg_hash (same partition of messages: two messages
-/// collide iff sender, tag and contents are equal).
+/// + length-prefixed ints/lists.  Two messages collide iff sender, tag
+/// and contents are equal -- the partition of the oracle's
+/// `from:payload` strings.
 Digest128 reduced_msg_hash(ProcessId from, const Payload& payload);
 
 /// reduced_msg_hash of the message as the renamed execution would hold
@@ -258,8 +258,8 @@ inline bool dead_message(ProcessId from, const Payload& payload,
     return abs.strip_inert && receiver.message_inert(from, payload);
 }
 
-/// Reduced-mode full-state digest (identity renaming): field-for-field
-/// the fast engine's hash_state with reduced_msg_hash as the message
+/// Reduced-mode full-state digest (identity renaming): the explorer's
+/// key of a whole configuration, with reduced_msg_hash as the message
 /// digest and the absorption quotient applied (decided processes fold
 /// to their decision, inert buffer suffixes are stripped).  Root key
 /// and debug cross-check.

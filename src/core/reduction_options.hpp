@@ -1,6 +1,6 @@
 #pragma once
-// ReductionOptions -- the public switchboard of the reduced exploration
-// mode (ExploreMode::kReduced), split out of core/reduction.hpp so that
+// ReductionOptions -- the public switchboard of the explorer's
+// reduction layer, split out of core/reduction.hpp so that
 // configuration surfaces (core/explorer.hpp's ExploreConfig, tools,
 // tests) can select reductions WITHOUT seeing the reduction engine's
 // internals.  core/reduction.hpp (TagInterner, renamed hashing,
@@ -12,11 +12,16 @@
 
 namespace ksa::core {
 
-/// Sub-config of ExploreConfig selecting which reductions kReduced
-/// applies.  All default on; switching all off makes kReduced
-/// partition states exactly like kFast (the equivalence suite checks
-/// bit-identical results for that configuration).
+/// Sub-config of ExploreConfig selecting which reductions the explorer
+/// applies.  All default on; none() switches all off, and the explorer
+/// then explores the full configuration space, bit-identical to the
+/// replay-based test oracle (the equivalence suite checks it).
 struct ReductionOptions {
+    /// Every axis off: the full, unreduced configuration space.
+    static constexpr ReductionOptions none() {
+        return ReductionOptions{false, false, false};
+    }
+
     bool symmetry = true;  ///< canonicalize states under the symmetry group
     bool por = true;       ///< persistent-set partial-order reduction
     /// Observational absorption quotient: key decided processes on

@@ -18,6 +18,7 @@ ValenceResult classify_valence(const Algorithm& algorithm, int n,
         cfg.k = n;  // we are not hunting violations here
         cfg.max_depth = max_depth;
         cfg.max_states = max_states;
+        cfg.reduction = ReductionOptions::none();
         ExploreResult explored = explore_schedules(algorithm, cfg);
         if (!explored.exhaustive) result.exhaustive = false;
         for (const std::vector<Value>& outcome : explored.quiescent_outcomes)

@@ -38,7 +38,7 @@ bool in_library_code(const fs::path& file) {
 
 bool in_library_code_outside_exec(const fs::path& file) {
     // src/exec/ is the ONE layer allowed to hold threading primitives
-    // (thread_pool.hpp states the determinism discipline).
+    // (task_scheduler.hpp states the determinism discipline).
     return path_contains_dir(file, "src") && !path_contains_dir(file, "exec");
 }
 
@@ -107,7 +107,7 @@ const std::vector<RuleInfo>& rule_table() {
         {"threading-outside-exec", RuleKind::kLine, Severity::kError,
          "src/ except src/exec",
          "threading primitive outside src/exec/; express parallelism "
-         "through exec::parallel_map_deterministic (doc/performance.md) "
+         "through exec::parallel_map_grained (doc/performance.md) "
          "or, for genuinely thread-safe bookkeeping, annotate with "
          "ksa-lint: allow(threading-outside-exec)",
          true},

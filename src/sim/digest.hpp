@@ -2,11 +2,12 @@
 // Deterministic 128-bit state digests.
 //
 // The configuration-space explorer (core/explorer.hpp) deduplicates
-// reached configurations.  Its reference mode keys the visited set by a
-// canonical rendering of the full configuration -- unambiguous but
+// reached configurations.  Keying the visited set by a canonical
+// rendering of the full configuration is unambiguous but
 // allocation-heavy: every candidate state pays an ostringstream pass
-// over every buffer and behavior.  The fast path instead folds the same
-// canonical byte stream into the 128-bit hash below.
+// over every buffer and behavior (the test oracle does exactly that).
+// The explorer instead folds the same logical fields into the 128-bit
+// hash below.
 //
 // Requirements (and why std::hash is banned here):
 //
@@ -22,8 +23,9 @@
 //     (birthday bound), far below e.g. the probability of a memory
 //     error corrupting the canonical-string comparison.  The golden
 //     equivalence suite (tests/test_explorer_equiv.cpp) cross-checks
-//     the fast path against the canonical-string reference mode on
-//     every supported case anyway.
+//     the explorer against the canonical-string test oracle
+//     (tests/support/explore_oracle.hpp) on every supported case
+//     anyway.
 //
 // The construction is two independent 64-bit FNV-1a lanes with distinct
 // offset bases, each post-mixed with a splitmix64-style finalizer.  The

@@ -28,9 +28,9 @@
 //     advanced by diffing the live buffers across one applied step --
 //     each message is hashed exactly once per spine, on arrival.
 //
-// The message digest function is injected (fast mode hashes sender +
-// payload; reduced mode tags payloads through the interner), keeping
-// this layer below core/reduction in the layer DAG.
+// The message digest function is injected (the explorer passes
+// core/reduction's reduced_msg_hash, which tags payloads through the
+// interner), keeping this layer below core/reduction in the layer DAG.
 //
 // DETERMINISM.  Materialization replays the same deterministic steps
 // the original acceptance replayed, so the returned System (message
@@ -51,7 +51,7 @@
 namespace ksa::store {
 
 /// Per-process behavior-state entry of a hashed state key.  `stepped`
-/// mirrors the replay baseline's convention of keying an unstepped
+/// mirrors the replay oracle's convention of keying an unstepped
 /// process on the empty digest (see the state-key commentary in
 /// core/explorer.cpp).
 struct BehaviorMark {
@@ -75,9 +75,9 @@ struct MaterializedNode {
 /// See file comment.  One instance per worker; never shared.
 class Rematerializer {
   public:
-    /// `digest_send(from, payload)` digests one buffered message --
-    /// msg_hash for the fast engine, reduced_msg_hash for the reduced
-    /// engine.  `algorithm`/`inputs`/`plan` describe the root
+    /// `digest_send(from, payload)` digests one buffered message (the
+    /// explorer passes reduced_msg_hash).  `algorithm`/`inputs`/`plan`
+    /// describe the root
     /// configuration (the same arguments the explorer built its root
     /// System from).
     using DigestSendFn = Digest128 (*)(ProcessId, const Payload&);

@@ -296,6 +296,7 @@ TEST(Theorem1Predicates, DecDDetectsEarlyReception) {
 TEST(Explorer, TrivialAlgorithmHasOneOutcome) {
     algo::TrivialWaitFree algorithm;
     ExploreConfig cfg;
+    cfg.reduction = ReductionOptions::none();
     cfg.n = 2;
     cfg.inputs = {4, 9};
     cfg.k = 2;
@@ -312,6 +313,7 @@ TEST(Explorer, FindsFloodingDisagreement) {
     // two processes decide different minima -- the explorer finds it.
     algo::FloodingKSet algorithm(2);
     ExploreConfig cfg;
+    cfg.reduction = ReductionOptions::none();
     cfg.n = 3;
     cfg.inputs = {1, 2, 3};
     cfg.k = 1;
@@ -333,6 +335,7 @@ TEST(Explorer, VerifiesFlpConsensusOnInitialCrashPlans) {
     FailurePlan plan;
     plan.set_initially_dead(3);
     ExploreConfig cfg;
+    cfg.reduction = ReductionOptions::none();
     cfg.n = 3;
     cfg.inputs = {1, 2, 3};
     cfg.plan = plan;
@@ -352,6 +355,7 @@ TEST(Explorer, TwoRunsProduceIdenticalReports) {
     // the truncated case.
     algo::FloodingKSet algorithm(2);
     ExploreConfig cfg;
+    cfg.reduction = ReductionOptions::none();
     cfg.n = 3;
     cfg.inputs = {1, 2, 3};
     cfg.k = 1;
@@ -378,6 +382,7 @@ TEST(Explorer, TwoRunsProduceIdenticalReports) {
 TEST(Explorer, RejectsDetectorAlgorithms) {
     algo::FloodingKSet fine(1);
     ExploreConfig cfg;
+    cfg.reduction = ReductionOptions::none();
     cfg.n = 1;
     cfg.inputs = {1};
     EXPECT_NO_THROW(explore_schedules(fine, cfg));

@@ -1,19 +1,20 @@
-// Golden equivalence suite for the three exploration engines.
+// Golden equivalence suite for the exploration engine.
 //
-// core/explorer.hpp promises that kFast (snapshot stepping + ghost
-// hashing), kReference (snapshot stepping + canonical strings) and
-// kReplayBaseline (the pre-snapshot engine, kept verbatim) produce
-// IDENTICAL ExploreResults on every configuration -- same state count,
-// same expansion count, same exhaustiveness, same witness schedule step
-// for step, same quiescent outcomes and decision sets -- and that the
-// fast engine's result is additionally byte-identical across thread
-// counts.  This suite is the enforcement: every bench_model_check case,
-// a chaos-style crash plan with final-step omissions, and a max_states
-// truncation case (where any divergence in insertion *order* becomes a
-// divergence in *content*) run through all engines.
+// core/explorer.hpp promises that the engine run with
+// ReductionOptions::none() and the replay-based test oracle
+// (tests/support/explore_oracle.hpp: string keys, no snapshots, no
+// ghost steps) produce IDENTICAL ExploreResults on every configuration
+// -- same state count, same expansion and dedup counts, same
+// exhaustiveness, same witness schedule step for step, same quiescent
+// outcomes and decision sets -- and that the engine's result is
+// additionally byte-identical across thread counts.  This suite is the
+// enforcement: every bench_model_check case, a chaos-style crash plan
+// with final-step omissions, and a max_states truncation case (where
+// any divergence in insertion *order* becomes a divergence in
+// *content*) run through both.
 //
-// If the fast engine's ghost stepping or hash keying ever drifts from
-// the real transition semantics, it shows up here as a state-count or
+// If the engine's ghost stepping or hash keying ever drifts from the
+// real transition semantics, it shows up here as a state-count or
 // witness mismatch long before anybody trusts a speedup number.
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "core/explorer.hpp"
 #include "exec/task_scheduler.hpp"
 #include "sim/system.hpp"
+#include "tests/support/explore_oracle.hpp"
 
 namespace ksa::core {
 namespace {
@@ -48,30 +50,25 @@ void expect_equal_results(const ExploreResult& a, const ExploreResult& b,
     }
 }
 
-/// Runs `cfg` through every engine (and the fast engine through two
-/// thread counts) and requires identical results.  Returns the baseline
-/// result for case-specific assertions.
+/// Runs `cfg` through the oracle and through the engine with every
+/// reduction off at 1, 2, 4 and the hardware thread count, and requires
+/// identical results.  Returns the oracle's result for case-specific
+/// assertions.
 ExploreResult expect_all_engines_agree(const Algorithm& algorithm,
                                        ExploreConfig cfg,
                                        const std::string& label) {
-    cfg.mode = ExploreMode::kReplayBaseline;
-    const ExploreResult baseline = explore_schedules(algorithm, cfg);
-    cfg.mode = ExploreMode::kReference;
-    cfg.threads = 1;
-    const ExploreResult reference = explore_schedules(algorithm, cfg);
-    cfg.mode = ExploreMode::kFast;
-    cfg.threads = 1;
-    const ExploreResult fast1 = explore_schedules(algorithm, cfg);
-    expect_equal_results(baseline, reference, label + ": baseline vs reference");
-    expect_equal_results(baseline, fast1, label + ": baseline vs fast(1)");
-    for (const int threads : {2, 4, exec::hardware_threads()}) {
+    const ExploreResult oracle = oracle::explore_oracle(algorithm, cfg);
+    cfg.reduction = ReductionOptions::none();
+    for (const int threads : {1, 2, 4, exec::hardware_threads()}) {
         cfg.threads = threads;
-        const ExploreResult fast_n = explore_schedules(algorithm, cfg);
-        expect_equal_results(fast1, fast_n,
-                             label + ": fast(1) vs fast(" +
-                                     std::to_string(threads) + ")");
+        const ExploreResult r = explore_schedules(algorithm, cfg);
+        const std::string what = label + ": oracle vs engine(" +
+                                 std::to_string(threads) + ")";
+        expect_equal_results(oracle, r, what);
+        EXPECT_EQ(oracle.dedup_hits, r.dedup_hits) << what;
+        EXPECT_EQ(r.por_skips, 0u) << what;
     }
-    return baseline;
+    return oracle;
 }
 
 ExploreConfig base_config(int n, int k, int depth) {
@@ -165,26 +162,28 @@ TEST(ExplorerEquivalence, TruncationCutsIdentically) {
 }
 
 // Determinism across repeated runs of the same engine (the PR-1
-// contract applied to the parallel fast path).
+// contract applied to the parallel full-space path).
 TEST(ExplorerEquivalence, FastModeRunToRunDeterminism) {
     auto algorithm = algo::make_flp_kset(3, 1);
     ExploreConfig cfg = base_config(3, 1, 12);
-    cfg.mode = ExploreMode::kFast;
+    cfg.reduction = ReductionOptions::none();
     cfg.threads = 4;
     const ExploreResult a = explore_schedules(*algorithm, cfg);
     const ExploreResult b = explore_schedules(*algorithm, cfg);
-    expect_equal_results(a, b, "fast(4) run-to-run");
+    expect_equal_results(a, b, "full(4) run-to-run");
 }
 
 // ---------------------------------------------------------------------
-// Reduced engine (ExploreMode::kReduced).
+// The reduction layer (ExploreConfig::reduction).
 //
-// kReduced explores a QUOTIENT of the configuration space, so state and
+// With reductions on, the engine explores a QUOTIENT of the
+// configuration space, so state and
 // expansion counts are allowed (expected!) to shrink; what must be
 // preserved, exactly, on every exhaustive golden case, are the three
 // observables: violation_found, reachable_decision_sets and
-// quiescent_outcomes.  The helpers below enforce that, plus thread-count
-// byte-identity of the reduced engine itself, on every golden case.
+// quiescent_outcomes.  The helpers below enforce that against the
+// full-space run (ReductionOptions::none()), plus thread-count
+// byte-identity of the reduced run itself, on every golden case.
 
 void expect_observables_equal(const ExploreResult& full,
                               const ExploreResult& reduced,
@@ -195,17 +194,18 @@ void expect_observables_equal(const ExploreResult& full,
     EXPECT_EQ(full.quiescent_outcomes, reduced.quiescent_outcomes) << label;
 }
 
-/// Runs `cfg` through kFast and through kReduced (threads 1, 2, 4 and
-/// the hardware count), requires the three observables to match and
-/// the reduced runs to be byte-identical across thread counts, and
-/// returns (fast, reduced).
+/// Runs `cfg` through the full space (none()) and with cfg's reductions
+/// (threads 1, 2, 4 and the hardware count), requires the three
+/// observables to match and the reduced runs to be byte-identical
+/// across thread counts, and returns (full, reduced).
 std::pair<ExploreResult, ExploreResult> expect_reduced_agrees(
         const Algorithm& algorithm, ExploreConfig cfg,
         const std::string& label) {
-    cfg.mode = ExploreMode::kFast;
+    ExploreConfig full_cfg = cfg;
+    full_cfg.reduction = ReductionOptions::none();
+    full_cfg.threads = 1;
+    const ExploreResult fast = explore_schedules(algorithm, full_cfg);
     cfg.threads = 1;
-    const ExploreResult fast = explore_schedules(algorithm, cfg);
-    cfg.mode = ExploreMode::kReduced;
     const ExploreResult red1 = explore_schedules(algorithm, cfg);
     for (const int threads : {2, 4, exec::hardware_threads()}) {
         cfg.threads = threads;
@@ -214,7 +214,7 @@ std::pair<ExploreResult, ExploreResult> expect_reduced_agrees(
                              label + ": reduced(1) vs reduced(" +
                                      std::to_string(threads) + ")");
     }
-    expect_observables_equal(fast, red1, label + ": fast vs reduced");
+    expect_observables_equal(fast, red1, label + ": full vs reduced");
     EXPECT_LE(red1.states_explored, fast.states_explored) << label;
     return {fast, red1};
 }
@@ -242,7 +242,7 @@ TEST(ReducedEquivalence, InitialCliqueWithInitialDeath) {
 
 // The flagship bench case ("Thm 8, no crash", depth 14, exhaustive):
 // besides the observables agreeing, this is where the reduction has to
-// EARN its keep -- at least 2x fewer expansions than the fast engine,
+// EARN its keep -- at least 2x fewer expansions than the full space,
 // with the skipped work visible in por_skips.  BENCH_explorer.json
 // records the measured counts; this test pins the invariant so a
 // regression in the reduction layer fails loudly rather than silently
@@ -300,22 +300,21 @@ TEST(ReducedEquivalence, UniformInputsSymmetry) {
             << "uniform-input symmetry should shrink the space >3x";
 }
 
-// With every reduction switched off, kReduced must not merely agree --
-// it must partition states exactly like kFast and reproduce its result
-// bit for bit (counts, witness, everything).  This pins the identity
-// quotient: reduced_hash_state/hash_child_reduced fold the same field
-// sequence as the fast engine's hash_state/hash_child.
+// With every reduction switched off the engine must not merely agree --
+// it must partition states exactly like the full-space oracle and
+// reproduce its result bit for bit (counts, witness, everything).  This
+// pins the identity quotient: reduced_hash_state/hash_child_reduced
+// distinguish exactly what the oracle's canonical strings distinguish.
 TEST(ReducedEquivalence, AllReductionsOffIsBitIdenticalToFast) {
     auto algorithm = algo::make_flp_kset(3, 1);
     ExploreConfig cfg = base_config(3, 1, 12);
-    cfg.mode = ExploreMode::kFast;
-    const ExploreResult fast = explore_schedules(*algorithm, cfg);
-    cfg.mode = ExploreMode::kReduced;
+    const ExploreResult full = oracle::explore_oracle(*algorithm, cfg);
     cfg.reduction.symmetry = false;
     cfg.reduction.por = false;
     cfg.reduction.absorption = false;
     const ExploreResult red = explore_schedules(*algorithm, cfg);
-    expect_equal_results(fast, red, "reduction-off vs fast");
+    expect_equal_results(full, red, "reduction-off vs oracle");
+    EXPECT_EQ(full.dedup_hits, red.dedup_hits);
     EXPECT_EQ(red.por_skips, 0u);
 }
 
@@ -326,11 +325,10 @@ TEST(ReducedEquivalence, EveryAxisCombinationAgrees) {
     auto algorithm = algo::make_flp_kset(3, 1);
     ExploreConfig cfg = base_config(3, 1, 12);
     cfg.plan.set_crash_omit_all(2, 1, 3);
-    cfg.mode = ExploreMode::kFast;
+    cfg.reduction = ReductionOptions::none();
     const ExploreResult fast = explore_schedules(*algorithm, cfg);
     for (int mask = 0; mask < 8; ++mask) {
         ExploreConfig rcfg = cfg;
-        rcfg.mode = ExploreMode::kReduced;
         rcfg.reduction.symmetry = (mask & 1) != 0;
         rcfg.reduction.por = (mask & 2) != 0;
         rcfg.reduction.absorption = (mask & 4) != 0;
@@ -340,56 +338,60 @@ TEST(ReducedEquivalence, EveryAxisCombinationAgrees) {
     }
 }
 
-// A kReduced violation witness is a real schedule (frontier nodes are
+// A reduced violation witness is a real schedule (frontier nodes are
 // realized Systems, never merely renamed ones): replaying it step for
 // step on a fresh System must reproduce a state with more than k
-// distinct decisions.
+// distinct decisions.  The oracle's witness is held to the same check:
+// it is the only reference the engine is compared against, so it must
+// itself produce genuine violating schedules.
 TEST(ReducedEquivalence, WitnessReplaysToViolation) {
     algo::FloodingKSet algorithm(2);
     ExploreConfig cfg = base_config(3, 1, 9);
-    cfg.mode = ExploreMode::kReduced;
-    const ExploreResult red = explore_schedules(algorithm, cfg);
-    ASSERT_TRUE(red.violation_found);
-    ASSERT_FALSE(red.witness.empty());
+    const std::pair<const char*, ExploreResult> runs[] = {
+            {"reduced", explore_schedules(algorithm, cfg)},
+            {"oracle", oracle::explore_oracle(algorithm, cfg)},
+    };
+    for (const auto& [who, r] : runs) {
+        ASSERT_TRUE(r.violation_found) << who;
+        ASSERT_FALSE(r.witness.empty()) << who;
 
-    System sys(algorithm, cfg.n, cfg.inputs, cfg.plan);
-    sys.set_recording(false);
-    for (const StepChoice& choice : red.witness) sys.apply_choice(choice);
-    std::set<Value> decisions;
-    for (ProcessId p = 1; p <= cfg.n; ++p) {
-        auto d = sys.decision_of(p);
-        if (d) decisions.insert(*d);
+        System sys(algorithm, cfg.n, cfg.inputs, cfg.plan);
+        sys.set_recording(false);
+        for (const StepChoice& choice : r.witness) sys.apply_choice(choice);
+        std::set<Value> decisions;
+        for (ProcessId p = 1; p <= cfg.n; ++p) {
+            auto d = sys.decision_of(p);
+            if (d) decisions.insert(*d);
+        }
+        EXPECT_GT(static_cast<int>(decisions.size()), cfg.k)
+                << who << " witness does not replay to a violation";
     }
-    EXPECT_GT(static_cast<int>(decisions.size()), cfg.k)
-            << "reduced witness does not replay to a violation";
 }
 
 // Under max_depth truncation exact equality is NOT promised (the
 // quotient can reach -- and absorb -- outcomes the depth-bounded full
-// engine never gets to; doc/performance.md).  What still holds: every
-// observable the truncated full engine records is genuinely reachable,
-// so the exhaustive reduced run must contain it.
+// space never gets to; doc/performance.md).  What still holds: every
+// observable the truncated full-space run records is genuinely
+// reachable, so the exhaustive reduced run must contain it.
 TEST(ReducedEquivalence, TruncatedFastIsContainedInReduced) {
     auto algorithm = algo::make_flp_kset(3, 1);
-    ExploreConfig cfg = base_config(3, 1, 10);  // fast needs 14 for exhaustion
-    cfg.mode = ExploreMode::kFast;
-    const ExploreResult fast = explore_schedules(*algorithm, cfg);
-    cfg.mode = ExploreMode::kReduced;
+    ExploreConfig cfg = base_config(3, 1, 10);  // full needs 14 for exhaustion
     const ExploreResult red = explore_schedules(*algorithm, cfg);
+    cfg.reduction = ReductionOptions::none();
+    const ExploreResult fast = explore_schedules(*algorithm, cfg);
     EXPECT_FALSE(fast.exhaustive);
     EXPECT_TRUE(red.exhaustive);  // the quotient closes by depth 8
     for (const auto& ds : fast.reachable_decision_sets)
         EXPECT_TRUE(red.reachable_decision_sets.count(ds) != 0)
-                << "decision set seen by truncated fast missing from reduced";
+                << "decision set seen by truncated full missing from reduced";
     for (const auto& qo : fast.quiescent_outcomes)
         EXPECT_TRUE(red.quiescent_outcomes.count(qo) != 0)
-                << "outcome seen by truncated fast missing from reduced";
+                << "outcome seen by truncated full missing from reduced";
 }
 
 TEST(ReducedEquivalence, RunToRunDeterminism) {
     auto algorithm = algo::make_flp_kset(3, 1);
     ExploreConfig cfg = base_config(3, 1, 14);
-    cfg.mode = ExploreMode::kReduced;
     cfg.threads = 4;
     const ExploreResult a = explore_schedules(*algorithm, cfg);
     const ExploreResult b = explore_schedules(*algorithm, cfg);
@@ -418,7 +420,8 @@ void expect_pinned_counts(const ExploreResult& r, const PinnedCounts& want,
 }
 
 // Flooding, not the initial-clique protocol: with four correct
-// processes the latter's full space is beyond an exhaustive kFast run.
+// processes the latter's full space is beyond an exhaustive full-space
+// run.
 TEST(ReducedEquivalence, UniformInputsFullGroupS4) {
     algo::FloodingKSet algorithm(3);
     for (const bool absorption : {true, false}) {
@@ -501,9 +504,10 @@ std::vector<store::StoreOptions> store_sweep() {
 
 TEST(StoreEquivalence, EveryStoreConfigYieldsTheSameResult) {
     auto algorithm = algo::make_flp_kset(3, 1);
-    for (const auto mode : {ExploreMode::kFast, ExploreMode::kReduced}) {
+    for (const ReductionOptions& reduction :
+         {ReductionOptions::none(), ReductionOptions{}}) {
         ExploreConfig cfg = base_config(3, 1, 12);
-        cfg.mode = mode;
+        cfg.reduction = reduction;
         const ExploreResult baseline = explore_schedules(*algorithm, cfg);
         int i = 0;
         for (const store::StoreOptions& opt : store_sweep()) {
@@ -517,11 +521,12 @@ TEST(StoreEquivalence, EveryStoreConfigYieldsTheSameResult) {
 
 TEST(StoreEquivalence, CountersAreThreadCountInvariant) {
     auto algorithm = algo::make_flp_kset(3, 1);
-    for (const auto mode : {ExploreMode::kFast, ExploreMode::kReduced}) {
+    for (const ReductionOptions& reduction :
+         {ReductionOptions::none(), ReductionOptions{}}) {
         int i = 0;
         for (const store::StoreOptions& opt : store_sweep()) {
             ExploreConfig cfg = base_config(3, 1, 11);
-            cfg.mode = mode;
+            cfg.reduction = reduction;
             cfg.store = opt;
             cfg.threads = 1;
             const ExploreResult one = explore_schedules(*algorithm, cfg);
@@ -545,6 +550,7 @@ TEST(StoreEquivalence, TruncationCutsIdenticallyUnderSpill) {
     auto algorithm = algo::make_flp_kset(3, 1);
     ExploreConfig cfg = base_config(3, 1, 14);
     cfg.max_states = 500;
+    cfg.reduction = ReductionOptions::none();
     const ExploreResult baseline = explore_schedules(*algorithm, cfg);
     EXPECT_FALSE(baseline.exhaustive);
     cfg.store.frontier_ram_bytes = 1024;
@@ -566,6 +572,7 @@ TEST(StoreEquivalence, CrashPlansSurviveRematerialization) {
     auto algorithm = algo::make_flp_kset(3, 1);
     ExploreConfig cfg = base_config(3, 1, 12);
     cfg.plan.set_crash(1, CrashSpec{2, {3}});
+    cfg.reduction = ReductionOptions::none();
     const ExploreResult baseline = explore_schedules(*algorithm, cfg);
     cfg.store.frontier_ram_bytes = 1024;
     cfg.store.expand_block = 5;

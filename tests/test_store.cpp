@@ -426,9 +426,9 @@ TEST(StoreExploration, ForcedSpillIsByteIdenticalToInRam) {
     cfg.k = 1;
     cfg.max_depth = 12;
     cfg.max_states = 400000;
-    for (const auto mode :
-         {core::ExploreMode::kFast, core::ExploreMode::kReduced}) {
-        cfg.mode = mode;
+    for (const bool full : {true, false}) {
+        cfg.reduction = full ? core::ReductionOptions::none()
+                             : core::ReductionOptions{};
         cfg.store = StoreOptions{};  // defaults: never spills at this scale
         const core::ExploreResult in_ram =
                 core::explore_schedules(*algorithm, cfg);
@@ -441,9 +441,8 @@ TEST(StoreExploration, ForcedSpillIsByteIdenticalToInRam) {
                 core::explore_schedules(*algorithm, cfg);
         EXPECT_GT(spilled.spilled_records, 0u);
         EXPECT_GT(spilled.spill_reads, 0u);
-        expect_identical_results(
-                in_ram, spilled,
-                mode == core::ExploreMode::kFast ? "fast" : "reduced");
+        expect_identical_results(in_ram, spilled,
+                                 full ? "full space" : "reduced");
     }
 }
 
@@ -459,6 +458,7 @@ TEST(StoreExploration, PeakResidentBytesIsBounded) {
     cfg.k = 1;
     cfg.max_depth = 10;
     cfg.max_states = 400000;
+    cfg.reduction = core::ReductionOptions::none();
     cfg.store.frontier_ram_bytes = 1024;
     const core::ExploreResult r = core::explore_schedules(*algorithm, cfg);
     EXPECT_GT(r.peak_resident_bytes, 0u);

@@ -134,6 +134,7 @@ TEST(Valence, TheDichotomyIsViolationsNotBivalence) {
     algo::FloodingKSet flooding(2);
     for (const FailurePlan& plan : core::one_crash_plans(3)) {
         core::ExploreConfig cfg;
+        cfg.reduction = core::ReductionOptions::none();
         cfg.n = 3;
         cfg.inputs = {0, 1, 1};
         cfg.plan = plan;
@@ -144,6 +145,7 @@ TEST(Valence, TheDichotomyIsViolationsNotBivalence) {
         EXPECT_TRUE(good.exhaustive);
     }
     core::ExploreConfig cfg;
+    cfg.reduction = core::ReductionOptions::none();
     cfg.n = 3;
     cfg.inputs = {0, 1, 1};
     cfg.k = 1;
