@@ -56,22 +56,14 @@ namespace {
 
 using namespace ksa;
 
-/// Agreement on everything the explorer reports (the witness schedule
-/// is compared step by step).
-bool same_result(const core::ExploreResult& a, const core::ExploreResult& b) {
-    if (a.states_explored != b.states_explored) return false;
-    if (a.schedules_expanded != b.schedules_expanded) return false;
-    if (a.exhaustive != b.exhaustive) return false;
-    if (a.violation_found != b.violation_found) return false;
-    if (a.quiescent_outcomes != b.quiescent_outcomes) return false;
-    if (a.reachable_decision_sets != b.reachable_decision_sets) return false;
-    if (a.witness.size() != b.witness.size()) return false;
-    for (std::size_t i = 0; i < a.witness.size(); ++i) {
-        if (a.witness[i].process != b.witness[i].process) return false;
-        if (a.witness[i].deliver != b.witness[i].deliver) return false;
-        if (a.witness[i].deliver_all != b.witness[i].deliver_all) return false;
-    }
-    return true;
+/// The outcome equality (core::ExploreOutcome), printing both
+/// summaries when it fails.
+bool outcomes_agree(const char* what, const core::ExploreResult& a,
+                    const core::ExploreResult& b) {
+    if (a == b) return true;
+    std::cout << "  " << what << " differ:\n    " << a.summary() << "\n    "
+              << b.summary() << "\n";
+    return false;
 }
 
 /// Agreement criterion for the reduced engine: it explores a quotient,
@@ -367,7 +359,8 @@ int main(int argc, char** argv) {
                 fail("violation verdict flipped");
             if (!reduced_covers(fast_r, red_r))
                 fail("reduced run no longer covers the full space");
-            if (!same_result(red_r, red_mt_r))
+            if (!outcomes_agree("reduced 1-thread and N-thread results",
+                                red_r, red_mt_r))
                 fail("reduced engine differs across thread counts");
 
             // Timing regression: current <= 3x committed, above the floor
@@ -520,7 +513,8 @@ int main(int argc, char** argv) {
         // quotient, same counts, same witness -- unlike the
         // quotient-vs-full comparison below, which only shares
         // observables.
-        const bool red_mt_ok = same_result(red_r, red_mt_r);
+        const bool red_mt_ok = outcomes_agree(
+            "reduced 1-thread and N-thread results", red_r, red_mt_r);
         const bool red_ok = reduced_covers(fast_r, red_r) && red_mt_ok;
         reduced_agree = reduced_agree && red_ok;
         const double red_ratio =
@@ -533,8 +527,11 @@ int main(int argc, char** argv) {
                                 red_r.dedup_hits, reduced_ms, reduced_mt_ms,
                                 fast_ms, red_ratio, red_ok});
 
-        const bool agree = same_result(oracle_r, fast_r) &&
-                           same_result(oracle_r, fast_mt_r);
+        const bool agree =
+            outcomes_agree("oracle and 1-thread engine results", oracle_r,
+                           fast_r) &&
+            outcomes_agree("oracle and N-thread engine results", oracle_r,
+                           fast_mt_r);
         engines_agree = engines_agree && agree;
 
         std::cout << std::left << std::setw(26) << c.why << std::right

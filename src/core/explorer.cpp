@@ -737,7 +737,7 @@ void run_store_bfs(const Exploration& x, const Digest128& root_key,
 
 }  // namespace
 
-std::string ExploreResult::summary() const {
+std::string ExploreOutcome::summary() const {
     std::ostringstream out;
     out << "explored " << states_explored << " states ("
         << schedules_expanded << " expansions, "

@@ -106,8 +106,12 @@ struct ExploreConfig {
     store::StoreOptions store;
 };
 
-/// Exploration outcome.
-struct ExploreResult {
+/// The deterministic outcome of an exploration: a pure function of the
+/// algorithm and the ExploreConfig, identical for every thread count and
+/// store sizing, and (under ReductionOptions::none()) identical to the
+/// test oracle's.  Every equivalence check compares results with this
+/// one equality; nothing machine- or timing-dependent may live here.
+struct ExploreOutcome {
     std::size_t states_explored = 0;
     std::size_t schedules_expanded = 0;
     /// Candidate children rejected because their key was already in the
@@ -120,8 +124,27 @@ struct ExploreResult {
     /// absorption off): persistent-set sibling moves plus the skipped
     /// moves of absorbed (decided, decisions-final) processes.
     std::size_t por_skips = 0;
+    bool exhaustive = true;  ///< no node was cut off by max_depth/max_states
+    bool violation_found = false;
+    std::vector<StepChoice> witness;  ///< schedule reaching the violation
+    /// All decision-vectors (one optional value per process, kNoValue for
+    /// undecided) observed at quiescent states.
+    std::set<std::vector<Value>> quiescent_outcomes;
+    /// All distinct decision-value sets observed anywhere.
+    std::set<std::set<Value>> reachable_decision_sets;
+
+    std::string summary() const;
+
+    friend bool operator==(const ExploreOutcome&,
+                           const ExploreOutcome&) = default;
+};
+
+/// Exploration result: the outcome plus observability that the outcome
+/// equality deliberately ignores.
+struct ExploreResult : ExploreOutcome {
     /// Frontier size of each BFS layer, filled iff
-    /// ExploreConfig::collect_layer_sizes.
+    /// ExploreConfig::collect_layer_sizes (the test oracle never fills
+    /// it).
     std::vector<std::size_t> layer_frontier_sizes;
     /// Scheduler observability.  Excluded from the oracle and
     /// cross-thread equivalence comparisons and from every report:
@@ -136,9 +159,10 @@ struct ExploreResult {
     /// Successful work steals during this exploration.
     std::uint64_t parallel_steals = 0;
     /// Out-of-core store observability.  The tier counters and spill
-    /// tallies are DETERMINISTIC -- pure functions of the key/record
-    /// streams, which are byte-identical across thread counts -- so
-    /// the equivalence suite pins them; replay_steps and spill_reads
+    /// tallies are DETERMINISTIC for a fixed StoreOptions -- pure
+    /// functions of the key/record streams, which are byte-identical
+    /// across thread counts -- so the equivalence suite pins them on top
+    /// of the outcome equality; replay_steps and spill_reads
     /// depend on which worker materialized which node (spine cache
     /// locality), so like parallel_steals they are excluded from every
     /// comparison.
@@ -162,16 +186,6 @@ struct ExploreResult {
     /// Peak bytes resident in the store-owned structures (visited
     /// shards + delta window), sampled per expansion block.
     std::size_t peak_resident_bytes = 0;
-    bool exhaustive = true;  ///< no node was cut off by max_depth/max_states
-    bool violation_found = false;
-    std::vector<StepChoice> witness;  ///< schedule reaching the violation
-    /// All decision-vectors (one optional value per process, kNoValue for
-    /// undecided) observed at quiescent states.
-    std::set<std::vector<Value>> quiescent_outcomes;
-    /// All distinct decision-value sets observed anywhere.
-    std::set<std::set<Value>> reachable_decision_sets;
-
-    std::string summary() const;
 };
 
 /// Runs the exploration for `algorithm` (which must not use a failure

@@ -53,7 +53,7 @@
 // max_depth / max_states truncation.
 //
 // This module is also the only place allowed to hold canonicalization /
-// interning tables (ksa_lint rule interning-outside-reduction): the
+// interning tables (ksa_analyze rule interning-outside-reduction): the
 // tag-interning memo below is shared mutable state, which the rest of
 // the library bans outside exec/.
 

@@ -14,7 +14,7 @@
 //   * deterministic across processes, builds and platforms -- std::hash
 //     is implementation-defined and may be seeded per process, which
 //     would make "which states fall inside max_states" unreproducible
-//     (the ksa_lint raw-randomness/determinism rules exist for exactly
+//     (the ksa_analyze raw-randomness/determinism rules exist for exactly
 //     this class of bug);
 //   * incremental -- state components are folded in as they are walked,
 //     no intermediate string is materialized;

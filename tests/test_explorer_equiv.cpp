@@ -29,26 +29,11 @@
 #include "tests/support/explore_oracle.hpp"
 
 namespace ksa::core {
-namespace {
 
-void expect_equal_results(const ExploreResult& a, const ExploreResult& b,
-                          const std::string& label) {
-    EXPECT_EQ(a.states_explored, b.states_explored) << label;
-    EXPECT_EQ(a.schedules_expanded, b.schedules_expanded) << label;
-    EXPECT_EQ(a.exhaustive, b.exhaustive) << label;
-    EXPECT_EQ(a.violation_found, b.violation_found) << label;
-    EXPECT_EQ(a.quiescent_outcomes, b.quiescent_outcomes) << label;
-    EXPECT_EQ(a.reachable_decision_sets, b.reachable_decision_sets) << label;
-    ASSERT_EQ(a.witness.size(), b.witness.size()) << label;
-    for (std::size_t i = 0; i < a.witness.size(); ++i) {
-        EXPECT_EQ(a.witness[i].process, b.witness[i].process)
-                << label << " witness step " << i;
-        EXPECT_EQ(a.witness[i].deliver, b.witness[i].deliver)
-                << label << " witness step " << i;
-        EXPECT_EQ(a.witness[i].deliver_all, b.witness[i].deliver_all)
-                << label << " witness step " << i;
-    }
-}
+// Failed EXPECT_EQ(a, b) on two results prints both summaries.
+void PrintTo(const ExploreResult& r, std::ostream* os) { *os << r.summary(); }
+
+namespace {
 
 /// Runs `cfg` through the oracle and through the engine with every
 /// reduction off at 1, 2, 4 and the hardware thread count, and requires
@@ -64,9 +49,7 @@ ExploreResult expect_all_engines_agree(const Algorithm& algorithm,
         const ExploreResult r = explore_schedules(algorithm, cfg);
         const std::string what = label + ": oracle vs engine(" +
                                  std::to_string(threads) + ")";
-        expect_equal_results(oracle, r, what);
-        EXPECT_EQ(oracle.dedup_hits, r.dedup_hits) << what;
-        EXPECT_EQ(r.por_skips, 0u) << what;
+        EXPECT_EQ(oracle, r) << what;
     }
     return oracle;
 }
@@ -170,7 +153,7 @@ TEST(ExplorerEquivalence, FastModeRunToRunDeterminism) {
     cfg.threads = 4;
     const ExploreResult a = explore_schedules(*algorithm, cfg);
     const ExploreResult b = explore_schedules(*algorithm, cfg);
-    expect_equal_results(a, b, "full(4) run-to-run");
+    EXPECT_EQ(a, b) << "full(4) run-to-run";
 }
 
 // ---------------------------------------------------------------------
@@ -210,9 +193,8 @@ std::pair<ExploreResult, ExploreResult> expect_reduced_agrees(
     for (const int threads : {2, 4, exec::hardware_threads()}) {
         cfg.threads = threads;
         const ExploreResult red_n = explore_schedules(algorithm, cfg);
-        expect_equal_results(red1, red_n,
-                             label + ": reduced(1) vs reduced(" +
-                                     std::to_string(threads) + ")");
+        EXPECT_EQ(red1, red_n) << label << ": reduced(1) vs reduced("
+                               << threads << ")";
     }
     expect_observables_equal(fast, red1, label + ": full vs reduced");
     EXPECT_LE(red1.states_explored, fast.states_explored) << label;
@@ -313,9 +295,7 @@ TEST(ReducedEquivalence, AllReductionsOffIsBitIdenticalToFast) {
     cfg.reduction.por = false;
     cfg.reduction.absorption = false;
     const ExploreResult red = explore_schedules(*algorithm, cfg);
-    expect_equal_results(full, red, "reduction-off vs oracle");
-    EXPECT_EQ(full.dedup_hits, red.dedup_hits);
-    EXPECT_EQ(red.por_skips, 0u);
+    EXPECT_EQ(full, red) << "reduction-off vs oracle";
 }
 
 // Each reduction axis must be individually sound, not only the default
@@ -395,7 +375,7 @@ TEST(ReducedEquivalence, RunToRunDeterminism) {
     cfg.threads = 4;
     const ExploreResult a = explore_schedules(*algorithm, cfg);
     const ExploreResult b = explore_schedules(*algorithm, cfg);
-    expect_equal_results(a, b, "reduced(4) run-to-run");
+    EXPECT_EQ(a, b) << "reduced(4) run-to-run";
 }
 
 // Groups beyond S3.  Renamed child keys are folded from a per-parent
@@ -473,13 +453,12 @@ TEST(ReducedEquivalence, SwappedCrashersWithFinalStepOmissions) {
 // spill_reads are excluded: they depend on work distribution, like
 // steal counts.)
 
-/// expect_equal_results plus the deterministic store counters; valid
+/// The outcome equality plus the deterministic store counters; valid
 /// only when both runs used the same StoreOptions.
 void expect_equal_with_store_counters(const ExploreResult& a,
                                       const ExploreResult& b,
                                       const std::string& label) {
-    expect_equal_results(a, b, label);
-    EXPECT_EQ(a.dedup_hits, b.dedup_hits) << label;
+    EXPECT_EQ(a, b) << label;
     EXPECT_EQ(a.store_shards, b.store_shards) << label;
     EXPECT_EQ(a.filter_definite_new, b.filter_definite_new) << label;
     EXPECT_EQ(a.filter_false_positives, b.filter_false_positives) << label;
@@ -513,8 +492,7 @@ TEST(StoreEquivalence, EveryStoreConfigYieldsTheSameResult) {
         for (const store::StoreOptions& opt : store_sweep()) {
             cfg.store = opt;
             const ExploreResult r = explore_schedules(*algorithm, cfg);
-            expect_equal_results(baseline, r,
-                                 "store config " + std::to_string(i++));
+            EXPECT_EQ(baseline, r) << "store config " << i++;
         }
     }
 }
@@ -559,9 +537,7 @@ TEST(StoreEquivalence, TruncationCutsIdenticallyUnderSpill) {
     for (const int threads : {1, 4}) {
         cfg.threads = threads;
         const ExploreResult r = explore_schedules(*algorithm, cfg);
-        expect_equal_results(baseline, r,
-                             "spilled truncation, threads " +
-                                     std::to_string(threads));
+        EXPECT_EQ(baseline, r) << "spilled truncation, threads " << threads;
     }
 }
 
@@ -578,7 +554,7 @@ TEST(StoreEquivalence, CrashPlansSurviveRematerialization) {
     cfg.store.expand_block = 5;
     const ExploreResult spilled = explore_schedules(*algorithm, cfg);
     EXPECT_GT(spilled.spilled_records, 0u);
-    expect_equal_results(baseline, spilled, "crash plan under spill");
+    EXPECT_EQ(baseline, spilled) << "crash plan under spill";
 }
 
 }  // namespace

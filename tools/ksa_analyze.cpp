@@ -1,7 +1,13 @@
-// ksa_analyze -- the whole-program architecture & determinism analyzer.
+// ksa_analyze -- the whole-program architecture & determinism analyzer,
+// the project's one analyzer CLI, built on the src/lint/ library.
 //
-// Built on the same src/lint/ library as ksa_lint, plus the passes that
-// need cross-file facts:
+// General-purpose static analysis (clang-tidy, sanitizers; see
+// doc/analysis.md) cannot know the *model* rules this repository lives
+// by: executions must be bit-identical across replays (sim/system.hpp),
+// so any iteration-order, RNG or hidden-IO dependence in the engine is a
+// proof-soundness bug even when it is perfectly well-defined C++.  The
+// line rules (src/lint/rules.cpp) catch those hazards one line at a
+// time; the passes below need cross-file facts:
 //
 //   layering          every quoted include is checked against the
 //                     architecture DAG in src/lint/layers.def; private
@@ -13,8 +19,11 @@
 //   float-in-digest   float/double in any file that feeds the state
 //                     digest (direct includer of sim/digest.hpp, or a
 //                     transitive includer naming the hasher vocabulary).
-//   pointer-keyed-container / wall-clock-outside-bench
-//                     line rules that exist only in the analyzer set.
+//   flow rules        parallel-capture-mutation, lock discipline and
+//                     the other dataflow passes (src/lint/flow.hpp).
+//
+// Rule scopes are judged on root-relative paths, so the directory the
+// checkout lives in never changes which rules apply.
 //
 // Reporting:
 //   --sarif <file>      SARIF 2.1.0 for CI code-scanning upload;
