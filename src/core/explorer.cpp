@@ -53,20 +53,14 @@ std::set<Value> decision_set(const System& sys, int n) {
 // vector alongside each node (on the rematerializer's spine) and
 // re-digests only the stepped process's entry.
 
-/// 128-bit digest of one behavior's local state (Behavior::fold_state
-/// in a fresh hasher).  The fold_state contract ("distinguishes exactly
-/// what state_digest distinguishes") makes the partition identical to
-/// the oracle's digest strings, modulo hash collisions.
-Digest128 behavior_hash(const Behavior& b) {
-    StateHasher h;
-    b.fold_state(h);
-    return h.digest();
-}
-
 /// Per-process behavior-state entry and per-node buffered-message
 /// digest cache of a hashed key: shared with the out-of-core store
 /// (src/store/rematerialize.hpp), whose delta-replay path advances the
-/// caches along its spine.
+/// caches along its spine.  Both layers digest behaviors with
+/// behavior_state_hash (sim/behavior.hpp); the fold_state contract
+/// ("distinguishes exactly what state_digest distinguishes") makes the
+/// partition identical to the oracle's digest strings, modulo hash
+/// collisions.
 using store::BehaviorMark;
 using store::MessageHashes;
 
@@ -96,7 +90,7 @@ struct GhostStep {
     bool final_crash = false;       ///< step count hit the crash plan
     const std::set<ProcessId>* omit_to = nullptr;  ///< final-step omissions
     std::size_t delivered = 0;      ///< length of the delivered buffer prefix
-    Digest128 bhash{};              ///< behavior_hash() after the step
+    Digest128 bhash{};              ///< behavior_state_hash() after the step
     /// The stepped clone, kept alive because dead-message judgement and
     /// renamed child keys (fold_state_renamed) read it again.
     std::unique_ptr<Behavior> behavior;
@@ -122,7 +116,7 @@ GhostStep ghost_step(const System& sys, ProcessId p, std::size_t delivered,
     const int allowed = sys.plan().allowed_steps(p);
     g.final_crash = allowed >= 0 && sys.steps_of(p) + 1 == allowed;
     if (g.final_crash) g.omit_to = &sys.plan().spec(p).omit_to;
-    g.bhash = behavior_hash(*g.behavior);
+    g.bhash = behavior_state_hash(*g.behavior);
     return g;
 }
 
@@ -225,14 +219,16 @@ bool quiescent_reduced(const System& sys, const ExploreConfig& cfg,
 /// are deleted from buffer keys.  Field-for-field identical to
 /// reduced_hash_state() of the realized child.  Variable-length fields
 /// are length-prefixed so distinct configurations produce distinct
-/// feed sequences.
+/// feed sequences.  `payload_scratch` and `dead_scratch` are
+/// caller-owned buffers reused across candidates.
 Digest128 hash_child_reduced(const System& sys, int n, ProcessId stepper,
                              const GhostStep& g,
                              const std::vector<BehaviorMark>& parent_marks,
                              const MessageHashes& parent_mhash,
                              const std::vector<ArrivingSend>& arriving,
                              const AbsorptionContext& abs,
-                             std::vector<const Payload*>& payload_scratch) {
+                             std::vector<const Payload*>& payload_scratch,
+                             std::vector<std::uint8_t>& dead_scratch) {
     StateHasher h;
     for (ProcessId q = 1; q <= n; ++q) {
         auto d = sys.decision_of(q);
@@ -259,26 +255,29 @@ Digest128 hash_child_reduced(const System& sys, int n, ProcessId stepper,
         // (buf[skip:] ++ arriving), judged by q's child-state behavior.
         // apply_choice appends sends in emission order, after removing
         // the delivered prefix (self-sends land behind the survivors).
+        // Each message is judged once: the verdicts feed both the live
+        // count and the fold.
         const Behavior& receiver =
                 q == stepper ? *g.behavior : sys.behavior_of(q);
         const auto& buf = sys.buffer(q);
+        dead_scratch.clear();
         std::size_t live = 0;
+        auto judge = [&](ProcessId from, const Payload& payload) {
+            const bool dead = dead_message(from, payload, receiver, abs);
+            dead_scratch.push_back(dead ? 1 : 0);
+            if (!dead) ++live;
+        };
         for (std::size_t i = skip; i < mh.size(); ++i)
-            if (!dead_message(buf[i].from, buf[i].payload, receiver, abs))
-                ++live;
-        for (const Payload* pl : payload_scratch)
-            if (!dead_message(stepper, *pl, receiver, abs)) ++live;
+            judge(buf[i].from, buf[i].payload);
+        for (const Payload* pl : payload_scratch) judge(stepper, *pl);
         h.u64(live);
+        std::size_t j = 0;  // walks dead_scratch alongside both folds
         for (std::size_t i = skip; i < mh.size(); ++i)
-            if (!dead_message(buf[i].from, buf[i].payload, receiver, abs))
-                h.fold(mh[i]);
-        std::size_t ai = 0;  // walks arriving's dest==q entries in order
-        for (const ArrivingSend& a : arriving) {
-            if (a.dest != q) continue;
-            if (!dead_message(stepper, *payload_scratch[ai], receiver, abs))
-                h.fold(a.hash);
-            ++ai;
-        }
+            if (dead_scratch[j++] == 0) h.fold(mh[i]);
+        // arriving's dest==q entries, in order, follow the buffer's
+        // verdicts in dead_scratch.
+        for (const ArrivingSend& a : arriving)
+            if (a.dest == q && dead_scratch[j++] == 0) h.fold(a.hash);
     }
     for (ProcessId q = 1; q <= n; ++q) {
         if (abs.decided_final) {
@@ -292,6 +291,28 @@ Digest128 hash_child_reduced(const System& sys, int n, ProcessId stepper,
             fold_mark(h, parent_marks[q - 1]);
     }
     return h.digest();
+}
+
+/// True iff the ghost step `g` of `stepper` is a stutter: its child's
+/// key equals the parent's, field for field.  The step decides nothing,
+/// does not crash, sends nothing (without a final crash every send
+/// survives), leaves the stepper's behavior digest where it was (the
+/// parent's mark must already be `stepped`: a first step flips it), and
+/// delivers only messages that are dead for the child's behavior -- so
+/// they were dead for the parent's equal-state behavior too, and the
+/// parent's key never held them.  The parent's key is in the visited
+/// store already, so a stutter is a certain dedup hit.
+bool is_stutter(const System& sys, ProcessId stepper, const GhostStep& g,
+                const BehaviorMark& parent_mark,
+                const AbsorptionContext& abs) {
+    if (g.out.decision || g.final_crash || !g.out.sends.empty())
+        return false;
+    if (!parent_mark.stepped || parent_mark.hash != g.bhash) return false;
+    const auto& buf = sys.buffer(stepper);
+    for (std::size_t i = 0; i < g.delivered; ++i)
+        if (!dead_message(buf[i].from, buf[i].payload, *g.behavior, abs))
+            return false;
+    return true;
 }
 
 // ---------------------------------------------------------------------
@@ -313,6 +334,9 @@ struct StoreExpansion {
     std::vector<Value> outcome;  ///< filled iff is_quiescent
     bool at_depth = false;
     std::size_t por_skips = 0;
+    /// Stutter candidates (is_stutter): dedup hits that never reach the
+    /// visited store.
+    std::size_t stutters = 0;
     std::vector<StoreChild> children;
 };
 
@@ -333,6 +357,7 @@ struct Worker {
     StepInput step;
     RenamedChildKeys renamed;  ///< bound to the node being expanded
     std::vector<const Payload*> payloads;
+    std::vector<std::uint8_t> dead;  ///< per-message verdicts of one buffer
     std::vector<ArrivingSend> arriving;
 };
 
@@ -470,12 +495,11 @@ StoreExpansion expand(const store::MaterializedNode& node, int depth,
     }
 
     bool renamed_built = false;  // wk.renamed is built lazily, once
-    auto emit_child = [&](ProcessId p, std::size_t delivered, GhostStep& g) {
+    auto child_key = [&](ProcessId p, std::size_t delivered, GhostStep& g) {
         fill_arriving(g, p, wk.arriving);
-        StoreChild child;
-        child.key = hash_child_reduced(sys, cfg.n, p, g, *node.marks,
-                                       *node.mhash, wk.arriving, abs,
-                                       wk.payloads);
+        Digest128 key = hash_child_reduced(sys, cfg.n, p, g, *node.marks,
+                                           *node.mhash, wk.arriving, abs,
+                                           wk.payloads, wk.dead);
         if (x.group.size() > 1) {
             if (!renamed_built) {
                 wk.renamed.build(sys, cfg.n, x.algorithm, x.group, abs);
@@ -489,7 +513,7 @@ StoreExpansion expand(const store::MaterializedNode& node, int depth,
             eff.sends = &g.out.sends;
             eff.decision = &g.out.decision;
             eff.behavior_after = g.behavior.get();
-            child.key = wk.renamed.min_key(eff, child.key);
+            key = wk.renamed.min_key(eff, key);
 #ifndef NDEBUG
             // The table-folded key must equal a from-scratch canonical
             // key of the realized child (hash_state_renamed re-walks
@@ -498,14 +522,30 @@ StoreExpansion expand(const store::MaterializedNode& node, int depth,
             realized->apply_choice(sys.prefix_choice(p, delivered));
             RenameScratch scratch;
             require(canonical_state_key(*realized, cfg.n, x.algorithm,
-                                        x.group, scratch, abs) == child.key,
+                                        x.group, scratch, abs) == key,
                     "explorer: renamed child key differs from the "
                     "realized child's canonical key");
 #endif
         }
-        child.stepper = p;
-        child.delivered = static_cast<std::uint32_t>(delivered);
-        e.children.push_back(child);
+        return key;
+    };
+    auto emit_child = [&](ProcessId p, std::size_t delivered, GhostStep& g) {
+        if (is_stutter(sys, p, g, (*node.marks)[p - 1], abs)) {
+            ++e.stutters;
+#ifndef NDEBUG
+            // The skipped key must be the parent's own canonical key.
+            RenameScratch scratch;
+            require(child_key(p, delivered, g) ==
+                            canonical_state_key(sys, cfg.n, x.algorithm,
+                                                x.group, scratch, abs),
+                    "explorer: stutter candidate's key differs from its "
+                    "parent's canonical key");
+#endif
+            return;
+        }
+        e.children.push_back(StoreChild{
+                child_key(p, delivered, g), p,
+                static_cast<std::uint32_t>(delivered)});
     };
 
     if (ample < procs.size()) {
@@ -537,7 +577,7 @@ void check_node_caches(const store::MaterializedNode& node, int n) {
         require(m.stepped == (node.sys->steps_of(q) > 0),
                 "store path: stale stepped flag in spine cache");
         if (m.stepped)
-            require(m.hash == behavior_hash(node.sys->behavior_of(q)),
+            require(m.hash == behavior_state_hash(node.sys->behavior_of(q)),
                     "store path: stale behavior digest in spine cache");
         const auto& mh = (*node.mhash)[q - 1];
         const auto& buf = node.sys->buffer(q);
@@ -566,7 +606,9 @@ void check_node_caches(const store::MaterializedNode& node, int n) {
 //      which keeps a spine of forked Systems along the root path, so
 //      the common case re-forks from the direct parent and replays one
 //      step -- and ghost-steps every (live process, delivery mode)
-//      candidate into a dedup key.  Pure reads of the shared stores.
+//      candidate into a dedup key.  A stutter candidate (is_stutter)
+//      gets no key: it is counted, and the merge books it as a dedup
+//      hit.  Pure reads of the shared stores.
 //
 //   2. DEDUP (parallel): the block's candidate keys, flattened in
 //      BFS candidate order, go through ShardedVisitedStore::
@@ -693,6 +735,11 @@ void run_store_bfs(const Exploration& x, const Digest128& root_key,
                     result.exhaustive = false;
                     continue;
                 }
+                // Stutters are dedup hits by construction (is_stutter);
+                // where they sat among the children is immaterial, as
+                // none of them appends a record.
+                result.dedup_hits += e.stutters;
+                result.stutter_hits += e.stutters;
                 for (const StoreChild& c : e.children) {
                     if (verdict[vi++] != 0) {
                         ++states_accepted;

@@ -181,6 +181,13 @@ struct ExploreResult : ExploreOutcome {
     /// Delta-chain steps replayed by re-materialization (spine cache
     /// misses; timing-dependent).
     std::uint64_t replay_steps = 0;
+    /// Candidates recognised as stutters from their ghost step -- no
+    /// decision, crash or send, an unchanged behavior digest, only dead
+    /// messages delivered -- and counted into dedup_hits without a
+    /// child key or a visited-store probe.  Deterministic and
+    /// thread-count invariant, but outside the outcome equality: the
+    /// test oracle has no ghost steps to recognise them from.
+    std::uint64_t stutter_hits = 0;
     /// Spilled-record reads during re-materialization (timing-dependent).
     std::uint64_t spill_reads = 0;
     /// Peak bytes resident in the store-owned structures (visited

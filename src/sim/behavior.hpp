@@ -250,4 +250,15 @@ public:
     virtual bool decided_is_final() const { return false; }
 };
 
+/// 128-bit digest of one behavior's local state: Behavior::fold_state in
+/// a fresh hasher.  The one behavior-state digest every exploration key
+/// uses -- the explorer's ghost steps and the store's rematerialization
+/// spine both call this, so their per-process entries agree by
+/// construction.
+inline Digest128 behavior_state_hash(const Behavior& b) {
+    StateHasher h;
+    b.fold_state(h);
+    return h.digest();
+}
+
 }  // namespace ksa

@@ -5,20 +5,6 @@
 
 namespace ksa::store {
 
-namespace {
-
-/// Behavior::fold_state in a fresh hasher -- the behavior-state digest
-/// both engines key on (core/explorer.cpp keeps its own copy for the
-/// root/ghost paths; the two must and do agree, which the equivalence
-/// suite pins down end to end).
-Digest128 behavior_state_hash(const Behavior& b) {
-    StateHasher h;
-    b.fold_state(h);
-    return h.digest();
-}
-
-}  // namespace
-
 Rematerializer::Rematerializer(const Algorithm& algorithm, int n,
                                std::vector<Value> inputs, FailurePlan plan,
                                const DeltaStore& deltas,

@@ -156,6 +156,26 @@ TEST(ExplorerEquivalence, FastModeRunToRunDeterminism) {
     EXPECT_EQ(a, b) << "full(4) run-to-run";
 }
 
+// Stutter candidates -- steps whose child key is the parent's own --
+// skip their child key and their visited-store probe and are counted
+// straight into dedup_hits.  The count is pinned so that a predicate
+// that starts matching more (unsound) or fewer (slower) candidates
+// shows here, and the result must still equal the oracle's.
+TEST(ExplorerEquivalence, StutterHitsArePinnedDedupHits) {
+    auto algorithm = algo::make_flp_kset(3, 1);
+    ExploreConfig cfg = base_config(3, 1, 10);
+    const ExploreResult oracle = oracle::explore_oracle(*algorithm, cfg);
+    cfg.reduction = ReductionOptions::none();
+    for (const int threads : {1, 4}) {
+        cfg.threads = threads;
+        const ExploreResult r = explore_schedules(*algorithm, cfg);
+        const std::string what = "threads " + std::to_string(threads);
+        EXPECT_EQ(oracle, r) << what;
+        EXPECT_EQ(r.stutter_hits, 8739u) << what;
+        EXPECT_LE(r.stutter_hits, r.dedup_hits) << what;
+    }
+}
+
 // ---------------------------------------------------------------------
 // The reduction layer (ExploreConfig::reduction).
 //
@@ -453,8 +473,8 @@ TEST(ReducedEquivalence, SwappedCrashersWithFinalStepOmissions) {
 // spill_reads are excluded: they depend on work distribution, like
 // steal counts.)
 
-/// The outcome equality plus the deterministic store counters; valid
-/// only when both runs used the same StoreOptions.
+/// The outcome equality plus the deterministic store counters and the
+/// stutter count; valid only when both runs used the same StoreOptions.
 void expect_equal_with_store_counters(const ExploreResult& a,
                                       const ExploreResult& b,
                                       const std::string& label) {
@@ -464,6 +484,7 @@ void expect_equal_with_store_counters(const ExploreResult& a,
     EXPECT_EQ(a.filter_false_positives, b.filter_false_positives) << label;
     EXPECT_EQ(a.spilled_records, b.spilled_records) << label;
     EXPECT_EQ(a.spill_bytes, b.spill_bytes) << label;
+    EXPECT_EQ(a.stutter_hits, b.stutter_hits) << label;
 }
 
 /// Store configurations that must all yield the same result: defaults,
