@@ -1,7 +1,11 @@
 #include "core/explorer.hpp"
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
+#include <span>
+#include <tuple>
 #include <sstream>
 #include <utility>
 
@@ -75,25 +79,208 @@ void fold_mark(StateHasher& h, const BehaviorMark& m) {
 // Exploration is dominated by candidate children that deduplication
 // then rejects (the reachable graph has far more edges than vertices).
 // The engine therefore computes a child's dedup key WITHOUT forking: it
-// clones only the stepping process's behavior, runs the step on the
-// clone, and hashes the parent's configuration with the step's effects
-// patched in -- p's delivered prefix removed from its buffer, the
-// step's surviving sends appended to their destination buffers, p's
-// decision/crash flag/behavior digest updated.  Only children that
-// survive deduplication are recorded at all, and then as a 16-byte
-// delta record, re-forked from its parent's live state only when its
-// own expansion comes up (src/store/).
+// steps only the stepping process's behavior, and hashes the parent's
+// configuration with the step's effects patched in -- p's delivered
+// prefix removed from its buffer, the step's surviving sends appended
+// to their destination buffers, p's decision/crash flag/behavior digest
+// updated.  Only children that survive deduplication are recorded at
+// all, and then as a 16-byte delta record, re-forked from its parent's
+// live state only when its own expansion comes up (src/store/).
+//
+// The step itself is a local transition: a pure function of the
+// stepper's id, its local state and the (from, payload) contents of the
+// delivered prefix -- on_step may read nothing else (sim/behavior.hpp).
+// An exploration reaches few distinct transitions (about 1.3 K on a
+// 1.28 M-candidate pass), so each worker memoizes them: every distinct
+// (p, state, delivered prefix) is stepped on a behavior clone once, and
+// later candidates read the memo entry.
 
-/// Effects of one ghost step of `stepper` on a behavior clone.
+/// What a local transition produces: the stepped behavior, the step's
+/// output and their digests.  Immutable once built.  Transitions with
+/// different keys often produce the same outcome (on explore-verify
+/// 1,260 keys step to 60 distinct behavior states), so the memo keeps
+/// one Transition per distinct outcome and shares it between keys.
+struct Transition {
+    /// The stepped clone, kept because dead-message judgement and
+    /// renamed child keys (fold_state_renamed) read it again.
+    std::unique_ptr<const Behavior> behavior;
+    StepOutput out;                    ///< sends + decision of the step
+    Digest128 bhash{};                 ///< behavior_state_hash() after the step
+    /// reduced_msg_hash of every send, in emission order.
+    std::vector<Digest128> send_hash;
+};
+
+/// Orders transitions by their outcome digests: bhash, decision, then
+/// each send's (dest, digest) in emission order.  Equal digests mean
+/// equal behavior states and payloads up to the collisions the child
+/// keys already assume; Debug builds compare the objects themselves.
+struct TransitionLess {
+    bool operator()(const Transition& a, const Transition& b) const {
+        if (a.bhash != b.bhash) return a.bhash < b.bhash;
+        if (a.out.decision != b.out.decision)
+            return a.out.decision < b.out.decision;
+        const std::size_t common =
+                std::min(a.send_hash.size(), b.send_hash.size());
+        for (std::size_t i = 0; i < common; ++i) {
+            const auto x = std::tie(a.out.sends[i].first, a.send_hash[i]);
+            const auto y = std::tie(b.out.sends[i].first, b.send_hash[i]);
+            if (x != y) return x < y;
+        }
+        return a.send_hash.size() < b.send_hash.size();
+    }
+};
+
+/// Steps a clone of p's behavior on the first `delivered` messages of
+/// its buffer.  `scratch` is a caller-owned StepInput reused across
+/// calls (System::deliver_prefix recycles the vector's capacity).
+Transition run_transition(const System& sys, ProcessId p,
+                          std::size_t delivered, StepInput& scratch) {
+    Transition t;
+    sys.deliver_prefix(p, delivered, scratch);
+    std::unique_ptr<Behavior> b = sys.clone_behavior(p);
+    t.out = b->on_step(scratch);
+    t.bhash = behavior_state_hash(*b);
+    t.behavior = std::move(b);
+    t.send_hash.reserve(t.out.sends.size());
+    for (const auto& [dest, payload] : t.out.sends)
+        t.send_hash.push_back(reduced_msg_hash(p, payload));
+    return t;
+}
+
+/// The memo key, borrowed: the stepper, its BehaviorMark in the parent
+/// (for an unstepped process the mark is empty, and p with its fixed
+/// input determines the state) and the digests of the delivered prefix,
+/// all read off the rematerializer spine.  Compared on the digests
+/// themselves: the memo adds no hash and so no collision beyond the
+/// ones the visited store already assumes.
+struct TransitionKeyRef {
+    ProcessId p = 0;
+    bool stepped = false;
+    Digest128 hash{};
+    std::span<const Digest128> delivered;
+};
+
+/// The owned form of a TransitionKeyRef, stored in the memo.
+struct TransitionKey {
+    ProcessId p = 0;
+    bool stepped = false;
+    Digest128 hash{};
+    std::vector<Digest128> delivered;
+};
+
+struct TransitionKeyLess {
+    using is_transparent = void;
+    static TransitionKeyRef ref(const TransitionKey& k) {
+        return {k.p, k.stepped, k.hash, k.delivered};
+    }
+    static const TransitionKeyRef& ref(const TransitionKeyRef& k) { return k; }
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const {
+        const TransitionKeyRef& x = ref(a);
+        const TransitionKeyRef& y = ref(b);
+        const auto xs = std::tie(x.p, x.stepped, x.hash);
+        const auto ys = std::tie(y.p, y.stepped, y.hash);
+        if (xs != ys) return xs < ys;
+        return std::lexicographical_compare(x.delivered.begin(),
+                                            x.delivered.end(),
+                                            y.delivered.begin(),
+                                            y.delivered.end());
+    }
+};
+
+/// A memoized local transition.
+struct MemoEntry {
+    const Transition* t = nullptr;
+    /// The step is a stutter unless it is the stepper's final (crash)
+    /// step: it decides nothing, sends nothing, leaves a `stepped`
+    /// behavior digest where it was and delivers only messages that are
+    /// dead for the stepped clone (see is_stutter).
+    bool idle = false;
+};
+
+/// Per-worker local-transition memo.  Nothing is erased while a node is
+/// expanded, so the entries handed out for one node stay valid until
+/// its expansion ends.
+class TransitionMemo {
+  public:
+    /// Keys kept across nodes; at or above it, begin_node() clears the
+    /// memo.  A node adds at most 3n keys past it.
+    static constexpr std::size_t kCap = 4096;
+
+    /// Called before each node's expansion, never during one.
+    void begin_node() {
+        if (entries_.size() < kCap) return;
+        entries_.clear();
+        outcomes_.clear();
+    }
+
+    /// The transition of p delivering its first `delivered` buffered
+    /// messages in `sys`, whose spine caches for p are `mark` and `mh`.
+    MemoEntry step(const System& sys, ProcessId p, std::size_t delivered,
+                   const BehaviorMark& mark, const std::vector<Digest128>& mh,
+                   const AbsorptionContext& abs, StepInput& scratch) {
+        const TransitionKeyRef key{
+                p, mark.stepped, mark.hash,
+                std::span<const Digest128>(mh.data(), delivered)};
+        auto it = entries_.lower_bound(key);
+        if (it != entries_.end() && !TransitionKeyLess{}(key, it->first)) {
+            ++hits_;
+#ifndef NDEBUG
+            // The memoized transition must equal a fresh one.
+            const Transition fresh = run_transition(sys, p, delivered, scratch);
+            const Transition& t = *it->second.t;
+            require(fresh.bhash == t.bhash &&
+                            fresh.out.decision == t.out.decision &&
+                            fresh.out.sends == t.out.sends,
+                    "explorer: memoized transition differs from a fresh "
+                    "ghost step");
+#endif
+            return it->second;
+        }
+        ++misses_;
+        Transition fresh = run_transition(sys, p, delivered, scratch);
+        auto out = outcomes_.find(fresh);
+        if (out == outcomes_.end()) {
+            out = outcomes_.insert(std::move(fresh)).first;
+        } else {
+#ifndef NDEBUG
+            require(out->behavior->state_digest() ==
+                                    fresh.behavior->state_digest() &&
+                            out->out.sends == fresh.out.sends,
+                    "explorer: transitions with equal outcome digests "
+                    "differ");
+#endif
+        }
+        MemoEntry e{&*out, !out->out.decision && out->out.sends.empty() &&
+                                   mark.stepped && mark.hash == out->bhash};
+        const auto& buf = sys.buffer(p);
+        for (std::size_t i = 0; e.idle && i < delivered; ++i)
+            e.idle = dead_message(buf[i].from, buf[i].payload, *out->behavior,
+                                  abs);
+        TransitionKey owned{key.p, key.stepped, key.hash,
+                            {key.delivered.begin(), key.delivered.end()}};
+        entries_.emplace_hint(it, std::move(owned), e);
+        return e;
+    }
+
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+
+  private:
+    std::map<TransitionKey, MemoEntry, TransitionKeyLess> entries_;
+    std::set<Transition, TransitionLess> outcomes_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+};
+
+/// One candidate step: its memoized transition plus what depends on the
+/// configuration around it -- the step counts and the crash plan.
 struct GhostStep {
-    StepOutput out;                 ///< sends + decision of the step
+    const Transition* t = nullptr;
+    bool idle = false;              ///< MemoEntry::idle
     bool final_crash = false;       ///< step count hit the crash plan
     const std::set<ProcessId>* omit_to = nullptr;  ///< final-step omissions
     std::size_t delivered = 0;      ///< length of the delivered buffer prefix
-    Digest128 bhash{};              ///< behavior_state_hash() after the step
-    /// The stepped clone, kept alive because dead-message judgement and
-    /// renamed child keys (fold_state_renamed) read it again.
-    std::unique_ptr<Behavior> behavior;
 
     /// True iff the send `(dest)` actually reaches its buffer.
     bool send_survives(ProcessId dest) const {
@@ -101,22 +288,20 @@ struct GhostStep {
     }
 };
 
-/// Runs one ghost step.  The explorer's delivery modes always deliver
-/// a *prefix* of the buffer (nothing / the oldest message / the whole
-/// buffer), so the delivered set is just a prefix length.  `scratch` is
-/// a caller-owned StepInput reused across candidates to amortize its
-/// allocations (System::deliver_prefix recycles the vector's capacity).
+/// The candidate step of p delivering its first `delivered` messages,
+/// taken as the memoized transition `m`.  The explorer's delivery modes
+/// always deliver a *prefix* of the buffer (nothing / the oldest
+/// message / the whole buffer), so the delivered set is just a prefix
+/// length.
 GhostStep ghost_step(const System& sys, ProcessId p, std::size_t delivered,
-                     StepInput& scratch) {
+                     const MemoEntry& m) {
     GhostStep g;
+    g.t = m.t;
+    g.idle = m.idle;
     g.delivered = delivered;
-    sys.deliver_prefix(p, delivered, scratch);
-    g.behavior = sys.clone_behavior(p);
-    g.out = g.behavior->on_step(scratch);
     const int allowed = sys.plan().allowed_steps(p);
     g.final_crash = allowed >= 0 && sys.steps_of(p) + 1 == allowed;
     if (g.final_crash) g.omit_to = &sys.plan().spec(p).omit_to;
-    g.bhash = behavior_state_hash(*g.behavior);
     return g;
 }
 
@@ -129,12 +314,12 @@ struct ArrivingSend {
 
 /// Fills `arriving` with the ghost step's surviving sends in emission
 /// order, digested by reduced_msg_hash.
-void fill_arriving(const GhostStep& g, ProcessId stepper,
-                   std::vector<ArrivingSend>& arriving) {
+void fill_arriving(const GhostStep& g, std::vector<ArrivingSend>& arriving) {
     arriving.clear();
-    for (const auto& [dest, payload] : g.out.sends)
-        if (g.send_survives(dest))
-            arriving.push_back({dest, reduced_msg_hash(stepper, payload)});
+    const auto& sends = g.t->out.sends;
+    for (std::size_t i = 0; i < sends.size(); ++i)
+        if (g.send_survives(sends[i].first))
+            arriving.push_back({sends[i].first, g.t->send_hash[i]});
 }
 
 // ---------------------------------------------------------------------
@@ -232,7 +417,7 @@ Digest128 hash_child_reduced(const System& sys, int n, ProcessId stepper,
     StateHasher h;
     for (ProcessId q = 1; q <= n; ++q) {
         auto d = sys.decision_of(q);
-        if (q == stepper && g.out.decision) d = g.out.decision;
+        if (q == stepper && g.t->out.decision) d = g.t->out.decision;
         if (abs.decided_final && d) {
             h.u64(2);
             h.i64(*d);
@@ -248,7 +433,7 @@ Digest128 hash_child_reduced(const System& sys, int n, ProcessId stepper,
         // the entries of `arriving` whose dest is q (fill_arriving walks
         // the same surviving sends in the same order).
         payload_scratch.clear();
-        for (const auto& [dest, payload] : g.out.sends)
+        for (const auto& [dest, payload] : g.t->out.sends)
             if (dest == q && g.send_survives(dest))
                 payload_scratch.push_back(&payload);
         // Delete dead messages anywhere in the child's buffer
@@ -258,7 +443,7 @@ Digest128 hash_child_reduced(const System& sys, int n, ProcessId stepper,
         // Each message is judged once: the verdicts feed both the live
         // count and the fold.
         const Behavior& receiver =
-                q == stepper ? *g.behavior : sys.behavior_of(q);
+                q == stepper ? *g.t->behavior : sys.behavior_of(q);
         const auto& buf = sys.buffer(q);
         dead_scratch.clear();
         std::size_t live = 0;
@@ -282,38 +467,28 @@ Digest128 hash_child_reduced(const System& sys, int n, ProcessId stepper,
     for (ProcessId q = 1; q <= n; ++q) {
         if (abs.decided_final) {
             auto d = sys.decision_of(q);
-            if (q == stepper && g.out.decision) d = g.out.decision;
+            if (q == stepper && g.t->out.decision) d = g.t->out.decision;
             if (d) continue;  // collapsed with the first loop's marker
         }
         if (q == stepper)
-            fold_mark(h, BehaviorMark{true, g.bhash});
+            fold_mark(h, BehaviorMark{true, g.t->bhash});
         else
             fold_mark(h, parent_marks[q - 1]);
     }
     return h.digest();
 }
 
-/// True iff the ghost step `g` of `stepper` is a stutter: its child's
-/// key equals the parent's, field for field.  The step decides nothing,
-/// does not crash, sends nothing (without a final crash every send
-/// survives), leaves the stepper's behavior digest where it was (the
-/// parent's mark must already be `stepped`: a first step flips it), and
-/// delivers only messages that are dead for the child's behavior -- so
-/// they were dead for the parent's equal-state behavior too, and the
-/// parent's key never held them.  The parent's key is in the visited
-/// store already, so a stutter is a certain dedup hit.
-bool is_stutter(const System& sys, ProcessId stepper, const GhostStep& g,
-                const BehaviorMark& parent_mark,
-                const AbsorptionContext& abs) {
-    if (g.out.decision || g.final_crash || !g.out.sends.empty())
-        return false;
-    if (!parent_mark.stepped || parent_mark.hash != g.bhash) return false;
-    const auto& buf = sys.buffer(stepper);
-    for (std::size_t i = 0; i < g.delivered; ++i)
-        if (!dead_message(buf[i].from, buf[i].payload, *g.behavior, abs))
-            return false;
-    return true;
-}
+/// True iff the ghost step `g` is a stutter: its child's key equals the
+/// parent's, field for field.  The step decides nothing, does not
+/// crash, sends nothing (without a final crash every send survives),
+/// leaves the stepper's behavior digest where it was (the parent's mark
+/// must already be `stepped`: a first step flips it), and delivers only
+/// messages that are dead for the child's behavior -- so they were dead
+/// for the parent's equal-state behavior too, and the parent's key
+/// never held them.  All but the crash are properties of the transition
+/// (MemoEntry::idle).  The parent's key is in the visited store
+/// already, so a stutter is a certain dedup hit.
+bool is_stutter(const GhostStep& g) { return g.idle && !g.final_crash; }
 
 // ---------------------------------------------------------------------
 // Expansion of one node.
@@ -359,18 +534,20 @@ struct Worker {
     std::vector<const Payload*> payloads;
     std::vector<std::uint8_t> dead;  ///< per-message verdicts of one buffer
     std::vector<ArrivingSend> arriving;
+    TransitionMemo transitions;
 };
 
 /// Classify, pick the persistent set, ghost-step and canonicalize the
 /// surviving candidates of one materialized node.  Reads the node, the
-/// calling worker's scratch and clones single behaviors only -- safe
-/// to run concurrently on distinct nodes.
+/// calling worker's scratch and memo and clones single behaviors only
+/// -- safe to run concurrently on distinct nodes.
 StoreExpansion expand(const store::MaterializedNode& node, int depth,
                       const Exploration& x, Worker& wk) {
     const ExploreConfig& cfg = x.cfg;
     const AbsorptionContext& abs = x.abs;
     StoreExpansion e;
     const System& sys = *node.sys;
+    wk.transitions.begin_node();
     e.decided = decision_set(sys, cfg.n);
     if (quiescent_reduced(sys, cfg, abs)) {
         e.is_quiescent = true;
@@ -430,8 +607,12 @@ StoreExpansion expand(const store::MaterializedNode& node, int depth,
     auto ghost_moves = [&](const ProcMoves& pm) {
         std::vector<GhostStep> out;
         out.reserve(pm.num);
-        for (std::size_t m = 0; m < pm.num; ++m)
-            out.push_back(ghost_step(sys, pm.p, pm.prefixes[m], wk.step));
+        for (std::size_t m = 0; m < pm.num; ++m) {
+            const MemoEntry memo = wk.transitions.step(
+                    sys, pm.p, pm.prefixes[m], (*node.marks)[pm.p - 1],
+                    (*node.mhash)[pm.p - 1], abs, wk.step);
+            out.push_back(ghost_step(sys, pm.p, pm.prefixes[m], memo));
+        }
         return out;
     };
 
@@ -468,12 +649,12 @@ StoreExpansion expand(const store::MaterializedNode& node, int depth,
                 ghosts = ghost_moves(pm);
                 bool safe = true;
                 for (const GhostStep& g : ghosts) {
-                    if (g.out.decision &&
-                        e.decided.count(*g.out.decision) == 0) {
+                    if (g.t->out.decision &&
+                        e.decided.count(*g.t->out.decision) == 0) {
                         safe = false;
                         break;
                     }
-                    for (const auto& [dest, payload] : g.out.sends) {
+                    for (const auto& [dest, payload] : g.t->out.sends) {
                         if (!g.send_survives(dest)) continue;
                         // A decided destination of a decisions-are-final
                         // algorithm is as good as stopped: the send
@@ -496,7 +677,7 @@ StoreExpansion expand(const store::MaterializedNode& node, int depth,
 
     bool renamed_built = false;  // wk.renamed is built lazily, once
     auto child_key = [&](ProcessId p, std::size_t delivered, GhostStep& g) {
-        fill_arriving(g, p, wk.arriving);
+        fill_arriving(g, wk.arriving);
         Digest128 key = hash_child_reduced(sys, cfg.n, p, g, *node.marks,
                                            *node.mhash, wk.arriving, abs,
                                            wk.payloads, wk.dead);
@@ -510,9 +691,9 @@ StoreExpansion expand(const store::MaterializedNode& node, int depth,
             eff.delivered = delivered;
             eff.final_crash = g.final_crash;
             eff.omit_to = g.omit_to;
-            eff.sends = &g.out.sends;
-            eff.decision = &g.out.decision;
-            eff.behavior_after = g.behavior.get();
+            eff.sends = &g.t->out.sends;
+            eff.decision = &g.t->out.decision;
+            eff.behavior_after = g.t->behavior.get();
             key = wk.renamed.min_key(eff, key);
 #ifndef NDEBUG
             // The table-folded key must equal a from-scratch canonical
@@ -530,7 +711,7 @@ StoreExpansion expand(const store::MaterializedNode& node, int depth,
         return key;
     };
     auto emit_child = [&](ProcessId p, std::size_t delivered, GhostStep& g) {
-        if (is_stutter(sys, p, g, (*node.marks)[p - 1], abs)) {
+        if (is_stutter(g)) {
             ++e.stutters;
 #ifndef NDEBUG
             // The skipped key must be the parent's own canonical key.
@@ -779,6 +960,8 @@ void run_store_bfs(const Exploration& x, const Digest128& root_key,
     for (const Worker& w : workers) {
         result.replay_steps += w.remat->replay_steps();
         result.spill_reads += w.remat->spill_reads();
+        result.transition_memo_hits += w.transitions.hits();
+        result.transition_memo_misses += w.transitions.misses();
     }
 }
 

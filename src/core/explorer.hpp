@@ -30,9 +30,11 @@
 //   * the BFS frontier is a list of 16-byte delta records in an
 //     out-of-core store (src/store/); a node's live System is
 //     re-materialized by forking its parent and replaying one step;
-//   * a candidate child's dedup key is computed by ghost-stepping a
-//     clone of one behavior and patching the parent's cached digests,
-//     so rejected duplicates are never materialized;
+//   * a candidate child's dedup key is computed by ghost-stepping one
+//     behavior and patching the parent's cached digests, so rejected
+//     duplicates are never materialized; each worker memoizes these
+//     local transitions, so a distinct (process, state, delivered
+//     prefix) is stepped once;
 //   * frontier layers are expanded in parallel on the work-stealing
 //     scheduler (exec/task_scheduler.hpp, via exec/parallel_map.hpp)
 //     and merged sequentially in input order, so N-thread output is
@@ -188,6 +190,13 @@ struct ExploreResult : ExploreOutcome {
     /// thread-count invariant, but outside the outcome equality: the
     /// test oracle has no ghost steps to recognise them from.
     std::uint64_t stutter_hits = 0;
+    /// Local-transition memo lookups, summed over workers: candidates
+    /// whose ghost step was read from the worker's memo (hits) or run on
+    /// a behavior clone and stored (misses).  Deterministic at 1 thread;
+    /// with more, they depend on which worker expanded which node.
+    /// Outside the outcome equality, like stutter_hits.
+    std::uint64_t transition_memo_hits = 0;
+    std::uint64_t transition_memo_misses = 0;
     /// Spilled-record reads during re-materialization (timing-dependent).
     std::uint64_t spill_reads = 0;
     /// Peak bytes resident in the store-owned structures (visited

@@ -101,6 +101,15 @@ public:
     virtual ~Behavior() = default;
 
     /// Executes one atomic step.  Called by the System only.
+    ///
+    /// Contract: the step may depend only on the local state that
+    /// fold_state digests and on each delivered message's `from` and
+    /// `payload` (plus the failure-detector sample, where the model has
+    /// one) -- never on message ids, `sent_at` or the global time.  The
+    /// explorer relies on it twice: its dedup keys leave ids out, and
+    /// each worker memoizes steps by (process, state digest, delivered
+    /// message digests), so two deliveries of equal content must step
+    /// alike (core/explorer.cpp, doc/performance.md §6.7).
     virtual StepOutput on_step(const StepInput& input) = 0;
 
     /// Canonical rendering of the complete local state.  Two behaviors of

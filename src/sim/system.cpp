@@ -29,11 +29,6 @@ System::System(const Algorithm& algorithm, int n, std::vector<Value> inputs,
     step_counts_.assign(n_, 0);
     crashed_.assign(n_, false);
     decisions_.assign(n_, std::nullopt);
-
-    run_.n = n_;
-    run_.algorithm = algo_name_;
-    run_.inputs = inputs_;
-    run_.plan = plan_;
 }
 
 System::System(ForkTag, const System& other)
@@ -60,14 +55,6 @@ std::unique_ptr<System> System::fork(bool verify_digests) const {
     KSA_REQUIRE(!finished_, "System::fork: run already finalized");
     // make_unique cannot reach the private constructor; plain new can.
     std::unique_ptr<System> copy(new System(ForkTag{}, *this));
-    if (!recording_) {
-        // Header-only Run for the non-recording fork (finish() promises
-        // exactly these fields).
-        copy->run_.n = n_;
-        copy->run_.algorithm = algo_name_;
-        copy->run_.inputs = inputs_;
-        copy->run_.plan = plan_;
-    }
     copy->verify_clones_ = verify_digests;
     return copy;
 }
@@ -218,8 +205,7 @@ void System::apply_fault(const FaultAction& action, StepRecord& rec) {
                             "with the crash plan in force");
                 return;
             }
-            plan_.set_crash(q, spec);
-            run_.plan.set_crash(q, std::move(spec));
+            plan_.set_crash(q, std::move(spec));
             return;
         }
         case FaultAction::Kind::kCorruptMessage: {
@@ -241,7 +227,7 @@ void System::apply_fault(const FaultAction& action, StepRecord& rec) {
                                           action.corrupt_seed, n_);
             rec.tampered.push_back(original);
             rec.forged.push_back(*it);
-            note_byzantine(original.from, 1, 0);
+            plan_.note_byzantine(original.from, 1, 0);
             return;
         }
         case FaultAction::Kind::kEquivocate: {
@@ -282,20 +268,11 @@ void System::apply_fault(const FaultAction& action, StepRecord& rec) {
                 rec.tampered.push_back(original);
                 rec.forged.push_back(m);
             }
-            note_byzantine(anchor.from, 0, 1);
+            plan_.note_byzantine(anchor.from, 0, 1);
             return;
         }
     }
     KSA_REQUIRE(false, "System::apply_fault: unknown fault kind");
-}
-
-void System::note_byzantine(ProcessId sender, int corruptions,
-                            int equivocations) {
-    // Both the live plan and the run record accumulate the realized
-    // Byzantine pattern; replay from Run::static_plan() re-applies the
-    // same fault stream, so the counts converge byte-identically.
-    plan_.note_byzantine(sender, corruptions, equivocations);
-    run_.plan.note_byzantine(sender, corruptions, equivocations);
 }
 
 StepChoice System::prefix_choice(ProcessId p, std::size_t count) const {
@@ -460,6 +437,14 @@ Run System::execute(Scheduler& scheduler, ExecutionLimits limits) {
 
 Run System::finish(StopReason reason) {
     KSA_REQUIRE(!finished_, "System::finish: run already finalized");
+    // The header is filled here, not kept current step by step: nothing
+    // reads it earlier, and a fork need not copy it.  plan_ is the
+    // effective plan -- the static plan extended by every injected
+    // crash and realized Byzantine fault.
+    run_.n = n_;
+    run_.algorithm = algo_name_;
+    run_.inputs = inputs_;
+    run_.plan = plan_;
     if (!recording_) {
         // Header-only record (see set_recording): there is no step
         // history whose shape could be checked.

@@ -186,9 +186,6 @@ private:
 
     void check_pid(ProcessId p, const char* who) const;
     void apply_fault(const FaultAction& action, StepRecord& rec);
-    /// Charges a realized Byzantine fault event to `sender` in both the
-    /// live plan and the run record (FailurePlan::note_byzantine).
-    void note_byzantine(ProcessId sender, int corruptions, int equivocations);
 
     /// Where a buffered message sits: buffer of process `owner`, index
     /// `pos`.

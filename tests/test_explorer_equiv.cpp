@@ -221,6 +221,45 @@ std::pair<ExploreResult, ExploreResult> expect_reduced_agrees(
     return {fast, red1};
 }
 
+// Each worker memoizes local transitions: a distinct (process, behavior
+// state, delivered prefix) is ghost-stepped once, and later candidates
+// read the memo.  The memo changes CPU time only: the full-space result
+// equals the oracle's, the reduced one keeps the oracle's observables,
+// and both are identical at 1 and 4 threads.  Misses are pinned at 1
+// thread, where the node order is fixed, so a key that starts telling
+// apart more transitions (slower) or fewer (unsound) shows here.
+TEST(ExplorerEquivalence, TransitionMemoIsInvisible) {
+    auto algorithm = algo::make_flp_kset(3, 1);
+    ExploreConfig cfg = base_config(3, 1, 10);
+    const ExploreResult oracle = oracle::explore_oracle(*algorithm, cfg);
+    struct Case {
+        const char* name;
+        bool full;
+        std::uint64_t misses;
+    };
+    for (const Case& c : {Case{"none", true, 366}, Case{"reduced", false, 262}}) {
+        cfg.reduction = c.full ? ReductionOptions::none() : ReductionOptions{};
+        ExploreResult first;
+        for (const int threads : {1, 4}) {
+            cfg.threads = threads;
+            const ExploreResult r = explore_schedules(*algorithm, cfg);
+            const std::string what =
+                    std::string(c.name) + ", threads " + std::to_string(threads);
+            if (c.full)
+                EXPECT_EQ(oracle, r) << what;
+            else
+                expect_observables_equal(oracle, r, what);
+            EXPECT_GT(r.transition_memo_hits, 0u) << what;
+            if (threads == 1) {
+                EXPECT_EQ(r.transition_memo_misses, c.misses) << what;
+                first = r;
+            } else {
+                EXPECT_EQ(first, r) << what;
+            }
+        }
+    }
+}
+
 TEST(ReducedEquivalence, FloodingConsensusViolation) {
     algo::FloodingKSet algorithm(2);
     auto [fast, red] = expect_reduced_agrees(algorithm, base_config(3, 1, 9),

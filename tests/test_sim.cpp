@@ -376,6 +376,49 @@ TEST(SystemCow, EveryFaultKindOnOneSideLeavesTheOtherUnchanged) {
     }
 }
 
+// finish() fills the Run header -- n, algorithm, inputs and the
+// effective plan -- from the live System, so a fork of a non-recording
+// System, which copies no Run at all, still finishes with the header a
+// recording twin reports.  Crash injection and Byzantine faults extend
+// the effective plan after the fork; the header must carry that too.
+TEST(SystemCow, NonRecordingForksFinishWithTheParentsHeader) {
+    auto algorithm = algo::make_flp_kset(5, 1);
+    auto base = announced_system(*algorithm);
+    const FailurePlan static_plan = base->plan();
+    for (const auto& [name, fault] : one_fault_per_kind(*base)) {
+        StepChoice c;
+        c.process = 5;
+        c.faults.push_back(fault);
+
+        auto twin = base->fork(/*verify_digests=*/true);  // recording
+        twin->apply_choice(c);
+        const ksa::Run expected = twin->finish(StopReason::kSchedulerEnded);
+        ASSERT_EQ(expected.steps.size(), 6u) << name;
+        if (name == "crash" || name == "corrupt" || name == "equivocate") {
+            EXPECT_NE(expected.plan, static_plan) << name;
+        }
+
+        auto parent = base->fork(/*verify_digests=*/true);
+        parent->set_recording(false);
+        auto early = parent->fork(/*verify_digests=*/true);
+        early->apply_choice(c);
+        parent->apply_choice(c);
+        auto late = parent->fork(/*verify_digests=*/true);
+        for (auto* sys : {early.get(), late.get(), parent.get()}) {
+            ASSERT_FALSE(sys->recording()) << name;
+            const ksa::Run run = sys->finish(StopReason::kSchedulerEnded);
+            EXPECT_EQ(run.n, expected.n) << name;
+            EXPECT_EQ(run.algorithm, expected.algorithm) << name;
+            EXPECT_EQ(run.inputs, expected.inputs) << name;
+            EXPECT_EQ(run.plan, expected.plan) << name;
+            // The forks copied no Run; the parent keeps the steps it
+            // recorded before recording was switched off.
+            EXPECT_EQ(run.steps.size(), sys == parent.get() ? 5u : 0u)
+                    << name;
+        }
+    }
+}
+
 // Forks of one parent stepped concurrently from the exec workers.  Each
 // fork follows its own schedule; the result must equal the same
 // schedule run sequentially, and the shared parent must not move (the
