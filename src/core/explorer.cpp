@@ -34,15 +34,9 @@ std::set<Value> decision_set(const System& sys, int n) {
 // ---------------------------------------------------------------------
 // State keys.
 //
-// The engine deduplicates on this logical state:
-//
-//   per process: crash flag, decision (if any), buffer contents in
-//   arrival order (sender + payload; message ids are simulator
-//   bookkeeping and intentionally excluded so content-equal states
-//   reached by different schedules deduplicate), and -- iff the process
-//   has stepped at least once -- its canonical behavior digest.
-//
-// "Iff stepped" matters: the replay-based test oracle
+// The dedup key's format lives in core/reduction.hpp (KeyLayout,
+// fold_key).  A process's behavior digest enters the key only once the
+// process has stepped, and that matters: the replay-based test oracle
 // (tests/support/explore_oracle.hpp) recovers behavior digests from
 // StepRecord::digest_after, which only exists for processes that
 // stepped, so an unstepped process contributes the empty string.  The
@@ -54,24 +48,9 @@ std::set<Value> decision_set(const System& sys, int n) {
 // Behavior digests are the expensive part of a key (one fold over the
 // whole local state).  A child configuration differs from its parent by
 // exactly one step of one process, so the engine carries the digest
-// vector alongside each node (on the rematerializer's spine) and
-// re-digests only the stepped process's entry.
-
-/// Per-process behavior-state entry and per-node buffered-message
-/// digest cache of a hashed key: shared with the out-of-core store
-/// (src/store/rematerialize.hpp), whose delta-replay path advances the
-/// caches along its spine.  Both layers digest behaviors with
-/// behavior_state_hash (sim/behavior.hpp); the fold_state contract
-/// ("distinguishes exactly what state_digest distinguishes") makes the
-/// partition identical to the oracle's digest strings, modulo hash
-/// collisions.
-using store::BehaviorMark;
-using store::MessageHashes;
-
-void fold_mark(StateHasher& h, const BehaviorMark& m) {
-    h.u64(m.stepped ? 1 : 0);
-    if (m.stepped) h.fold(m.hash);
-}
+// vector alongside each node (on the rematerializer's spine, as
+// BehaviorMarks and per-message digests) and re-digests only the
+// stepped process's entry.
 
 // ---------------------------------------------------------------------
 // Ghost stepping.
@@ -95,21 +74,11 @@ void fold_mark(StateHasher& h, const BehaviorMark& m) {
 // (p, state, delivered prefix) is stepped on a behavior clone once, and
 // later candidates read the memo entry.
 
-/// What a local transition produces: the stepped behavior, the step's
-/// output and their digests.  Immutable once built.  Transitions with
-/// different keys often produce the same outcome (on explore-verify
-/// 1,260 keys step to 60 distinct behavior states), so the memo keeps
-/// one Transition per distinct outcome and shares it between keys.
-struct Transition {
-    /// The stepped clone, kept because dead-message judgement and
-    /// renamed child keys (fold_state_renamed) read it again.
-    std::unique_ptr<const Behavior> behavior;
-    StepOutput out;                    ///< sends + decision of the step
-    Digest128 bhash{};                 ///< behavior_state_hash() after the step
-    /// reduced_msg_hash of every send, in emission order.
-    std::vector<Digest128> send_hash;
-};
-
+/// Transitions (core/reduction.hpp) with different keys often produce
+/// the same outcome (on explore-verify 1,260 keys step to 60 distinct
+/// behavior states), so the memo keeps one Transition per distinct
+/// outcome and shares it between keys.
+///
 /// Orders transitions by their outcome digests: bhash, decision, then
 /// each send's (dest, digest) in emission order.  Equal digests mean
 /// equal behavior states and payloads up to the collisions the child
@@ -273,21 +242,6 @@ class TransitionMemo {
     std::uint64_t misses_ = 0;
 };
 
-/// One candidate step: its memoized transition plus what depends on the
-/// configuration around it -- the step counts and the crash plan.
-struct GhostStep {
-    const Transition* t = nullptr;
-    bool idle = false;              ///< MemoEntry::idle
-    bool final_crash = false;       ///< step count hit the crash plan
-    const std::set<ProcessId>* omit_to = nullptr;  ///< final-step omissions
-    std::size_t delivered = 0;      ///< length of the delivered buffer prefix
-
-    /// True iff the send `(dest)` actually reaches its buffer.
-    bool send_survives(ProcessId dest) const {
-        return !(final_crash && omit_to != nullptr && omit_to->count(dest) != 0);
-    }
-};
-
 /// The candidate step of p delivering its first `delivered` messages,
 /// taken as the memoized transition `m`.  The explorer's delivery modes
 /// always deliver a *prefix* of the buffer (nothing / the oldest
@@ -296,6 +250,7 @@ struct GhostStep {
 GhostStep ghost_step(const System& sys, ProcessId p, std::size_t delivered,
                      const MemoEntry& m) {
     GhostStep g;
+    g.stepper = p;
     g.t = m.t;
     g.idle = m.idle;
     g.delivered = delivered;
@@ -303,23 +258,6 @@ GhostStep ghost_step(const System& sys, ProcessId p, std::size_t delivered,
     g.final_crash = allowed >= 0 && sys.steps_of(p) + 1 == allowed;
     if (g.final_crash) g.omit_to = &sys.plan().spec(p).omit_to;
     return g;
-}
-
-/// One message the ghost step adds to a buffer, pre-hashed.  Kept in
-/// emission order.
-struct ArrivingSend {
-    ProcessId dest = 0;
-    Digest128 hash{};
-};
-
-/// Fills `arriving` with the ghost step's surviving sends in emission
-/// order, digested by reduced_msg_hash.
-void fill_arriving(const GhostStep& g, std::vector<ArrivingSend>& arriving) {
-    arriving.clear();
-    const auto& sends = g.t->out.sends;
-    for (std::size_t i = 0; i < sends.size(); ++i)
-        if (g.send_survives(sends[i].first))
-            arriving.push_back({sends[i].first, g.t->send_hash[i]});
 }
 
 // ---------------------------------------------------------------------
@@ -330,10 +268,10 @@ void fill_arriving(const GhostStep& g, std::vector<ArrivingSend>& arriving) {
 //   * SYMMETRY -- dedup keys are canonicalized to the minimum digest
 //     over the symmetry group G (permutations fixing inputs + plan that
 //     the algorithm declares equivariance under): one representative
-//     per G-orbit is explored.  The identity element folds the child
-//     from the spine's incremental caches (hash_child_reduced);
-//     non-identity elements fold it from the parent's renamed-digest
-//     table (RenamedChildKeys, built once per expanded parent).
+//     per G-orbit is explored.  ChildKeys (core/reduction.hpp) folds
+//     each child's key for every element from tables it builds once per
+//     expanded parent: element 0 from the spine's incremental caches,
+//     the others from renamed digests.
 //     Decision-value sets are G-invariant; per-process quiescent
 //     outcome vectors are orbit-expanded over G before the result is
 //     returned.
@@ -397,87 +335,6 @@ bool quiescent_reduced(const System& sys, const ExploreConfig& cfg,
     return true;
 }
 
-/// Identity-renaming child key: a walk over the parent's cached
-/// digests with the ghost step's effects patched in and the absorption
-/// quotient applied -- decided processes fold to their decision alone
-/// and dead messages (judged by the receiver's CHILD-state behavior)
-/// are deleted from buffer keys.  Field-for-field identical to
-/// reduced_hash_state() of the realized child.  Variable-length fields
-/// are length-prefixed so distinct configurations produce distinct
-/// feed sequences.  `payload_scratch` and `dead_scratch` are
-/// caller-owned buffers reused across candidates.
-Digest128 hash_child_reduced(const System& sys, int n, ProcessId stepper,
-                             const GhostStep& g,
-                             const std::vector<BehaviorMark>& parent_marks,
-                             const MessageHashes& parent_mhash,
-                             const std::vector<ArrivingSend>& arriving,
-                             const AbsorptionContext& abs,
-                             std::vector<const Payload*>& payload_scratch,
-                             std::vector<std::uint8_t>& dead_scratch) {
-    StateHasher h;
-    for (ProcessId q = 1; q <= n; ++q) {
-        auto d = sys.decision_of(q);
-        if (q == stepper && g.t->out.decision) d = g.t->out.decision;
-        if (abs.decided_final && d) {
-            h.u64(2);
-            h.i64(*d);
-            continue;
-        }
-        const bool crashed_q = q == stepper ? g.final_crash : sys.crashed(q);
-        h.u64(crashed_q ? 1 : 0);
-        h.u64(d ? 1 : 0);
-        if (d) h.i64(*d);
-        const auto& mh = parent_mhash[q - 1];
-        const std::size_t skip = q == stepper ? g.delivered : 0;
-        // Arriving payloads for q, in emission order: index-aligned with
-        // the entries of `arriving` whose dest is q (fill_arriving walks
-        // the same surviving sends in the same order).
-        payload_scratch.clear();
-        for (const auto& [dest, payload] : g.t->out.sends)
-            if (dest == q && g.send_survives(dest))
-                payload_scratch.push_back(&payload);
-        // Delete dead messages anywhere in the child's buffer
-        // (buf[skip:] ++ arriving), judged by q's child-state behavior.
-        // apply_choice appends sends in emission order, after removing
-        // the delivered prefix (self-sends land behind the survivors).
-        // Each message is judged once: the verdicts feed both the live
-        // count and the fold.
-        const Behavior& receiver =
-                q == stepper ? *g.t->behavior : sys.behavior_of(q);
-        const auto& buf = sys.buffer(q);
-        dead_scratch.clear();
-        std::size_t live = 0;
-        auto judge = [&](ProcessId from, const Payload& payload) {
-            const bool dead = dead_message(from, payload, receiver, abs);
-            dead_scratch.push_back(dead ? 1 : 0);
-            if (!dead) ++live;
-        };
-        for (std::size_t i = skip; i < mh.size(); ++i)
-            judge(buf[i].from, buf[i].payload);
-        for (const Payload* pl : payload_scratch) judge(stepper, *pl);
-        h.u64(live);
-        std::size_t j = 0;  // walks dead_scratch alongside both folds
-        for (std::size_t i = skip; i < mh.size(); ++i)
-            if (dead_scratch[j++] == 0) h.fold(mh[i]);
-        // arriving's dest==q entries, in order, follow the buffer's
-        // verdicts in dead_scratch.
-        for (const ArrivingSend& a : arriving)
-            if (a.dest == q && dead_scratch[j++] == 0) h.fold(a.hash);
-    }
-    for (ProcessId q = 1; q <= n; ++q) {
-        if (abs.decided_final) {
-            auto d = sys.decision_of(q);
-            if (q == stepper && g.t->out.decision) d = g.t->out.decision;
-            if (d) continue;  // collapsed with the first loop's marker
-        }
-        if (q == stepper)
-            fold_mark(h, BehaviorMark{true, g.t->bhash});
-        else
-            fold_mark(h, parent_marks[q - 1]);
-    }
-    return h.digest();
-}
-
 /// True iff the ghost step `g` is a stutter: its child's key equals the
 /// parent's, field for field.  The step decides nothing, does not
 /// crash, sends nothing (without a final crash every send survives),
@@ -524,16 +381,13 @@ struct Exploration {
     AbsorptionContext abs;
 };
 
-/// Per-worker state: the delta rematerializer plus ghost/rename/payload
-/// scratch, reused across every node a worker expands.  Each worker
-/// owns exactly one: nothing is shared.
+/// Per-worker state: the delta rematerializer plus ghost-step and
+/// child-key scratch, reused across every node a worker expands.  Each
+/// worker owns exactly one: nothing is shared.
 struct Worker {
     std::unique_ptr<store::Rematerializer> remat;
     StepInput step;
-    RenamedChildKeys renamed;  ///< bound to the node being expanded
-    std::vector<const Payload*> payloads;
-    std::vector<std::uint8_t> dead;  ///< per-message verdicts of one buffer
-    std::vector<ArrivingSend> arriving;
+    ChildKeys keys;  ///< bound to the node being expanded
     TransitionMemo transitions;
 };
 
@@ -675,73 +529,57 @@ StoreExpansion expand(const store::MaterializedNode& node, int depth,
         }
     }
 
-    bool renamed_built = false;  // wk.renamed is built lazily, once
-    auto child_key = [&](ProcessId p, std::size_t delivered, GhostStep& g) {
-        fill_arriving(g, wk.arriving);
-        Digest128 key = hash_child_reduced(sys, cfg.n, p, g, *node.marks,
-                                           *node.mhash, wk.arriving, abs,
-                                           wk.payloads, wk.dead);
-        if (x.group.size() > 1) {
-            if (!renamed_built) {
-                wk.renamed.build(sys, cfg.n, x.algorithm, x.group, abs);
-                renamed_built = true;
-            }
-            GhostEffects eff;
-            eff.stepper = p;
-            eff.delivered = delivered;
-            eff.final_crash = g.final_crash;
-            eff.omit_to = g.omit_to;
-            eff.sends = &g.t->out.sends;
-            eff.decision = &g.t->out.decision;
-            eff.behavior_after = g.t->behavior.get();
-            key = wk.renamed.min_key(eff, key);
+    bool keys_bound = false;  // wk.keys is bound lazily, once
+    auto child_key = [&](const GhostStep& g) {
+        if (!keys_bound) {
+            wk.keys.bind(sys, *node.marks, *node.mhash, x.algorithm, x.group,
+                         abs);
+            keys_bound = true;
+        }
+        const Digest128 key = wk.keys.key(g);
 #ifndef NDEBUG
+        if (x.group.size() > 1) {
             // The table-folded key must equal a from-scratch canonical
-            // key of the realized child (hash_state_renamed re-walks
-            // every buffer and behavior independently of the table).
+            // key of the realized child (canonical_state_key re-digests
+            // every buffer and behavior independently of the tables).
             std::unique_ptr<System> realized = sys.fork(false);
-            realized->apply_choice(sys.prefix_choice(p, delivered));
+            realized->apply_choice(sys.prefix_choice(g.stepper, g.delivered));
             RenameScratch scratch;
             require(canonical_state_key(*realized, cfg.n, x.algorithm,
                                         x.group, scratch, abs) == key,
                     "explorer: renamed child key differs from the "
                     "realized child's canonical key");
-#endif
         }
+#endif
         return key;
     };
-    auto emit_child = [&](ProcessId p, std::size_t delivered, GhostStep& g) {
+    auto emit_child = [&](const GhostStep& g) {
         if (is_stutter(g)) {
             ++e.stutters;
 #ifndef NDEBUG
             // The skipped key must be the parent's own canonical key.
             RenameScratch scratch;
-            require(child_key(p, delivered, g) ==
-                            canonical_state_key(sys, cfg.n, x.algorithm,
-                                                x.group, scratch, abs),
+            require(child_key(g) == canonical_state_key(sys, cfg.n,
+                                                         x.algorithm, x.group,
+                                                         scratch, abs),
                     "explorer: stutter candidate's key differs from its "
                     "parent's canonical key");
 #endif
             return;
         }
         e.children.push_back(StoreChild{
-                child_key(p, delivered, g), p,
-                static_cast<std::uint32_t>(delivered)});
+                child_key(g), g.stepper, static_cast<std::uint32_t>(g.delivered)});
     };
 
     if (ample < procs.size()) {
-        const ProcMoves& pm = procs[ample];
-        e.por_skips = total_moves - pm.num;
-        for (std::size_t m = 0; m < pm.num; ++m)
-            emit_child(pm.p, pm.prefixes[m], probed[ample][m]);
+        e.por_skips = total_moves - procs[ample].num;
+        for (const GhostStep& g : probed[ample]) emit_child(g);
         return e;
     }
     e.children.reserve(total_moves);
     for (std::size_t i = 0; i < procs.size(); ++i) {
-        const ProcMoves& pm = procs[i];
-        if (probed[i].empty()) probed[i] = ghost_moves(pm);
-        for (std::size_t m = 0; m < pm.num; ++m)
-            emit_child(pm.p, pm.prefixes[m], probed[i][m]);
+        if (probed[i].empty()) probed[i] = ghost_moves(procs[i]);
+        for (const GhostStep& g : probed[i]) emit_child(g);
     }
     return e;
 }
@@ -816,10 +654,10 @@ void check_node_caches(const store::MaterializedNode& node, int n) {
 // per-worker scratch is sized to sched.size() and reused across every
 // block a worker touches.  Blocks below the scheduler's sequential
 // threshold run inline; dispatched work is chunked with the auto grain
-// and rebalanced by stealing.  The chosen grain/threshold and the steal
-// count are recorded into the result as observability -- they describe
-// the machine and the timing, not the exploration, so they stay out of
-// every report and equivalence comparison.
+// and rebalanced by stealing.  The steal count is recorded into the
+// result as observability -- it describes the machine and the timing,
+// not the exploration, so it stays out of every report and equivalence
+// comparison.
 
 void run_store_bfs(const Exploration& x, const Digest128& root_key,
                    ExploreResult& result) {
@@ -827,7 +665,6 @@ void run_store_bfs(const Exploration& x, const Digest128& root_key,
     exec::TaskScheduler sched(cfg.threads < 1 ? 1 : cfg.threads);
     const std::size_t threshold =
             exec::TaskScheduler::sequential_threshold(sched.size());
-    std::size_t max_dispatched = 0;
 
     store::ShardedVisitedStore visited(cfg.store);
     store::DeltaStore deltas(cfg.store);
@@ -865,9 +702,6 @@ void run_store_bfs(const Exploration& x, const Digest128& root_key,
             const std::size_t count = static_cast<std::size_t>(
                     std::min<std::uint64_t>(block_cap, layer_end - block));
             // Phase 1 (parallel): materialize + ghost-expand the block.
-            if (sched.size() > 1 && count >= threshold &&
-                count > max_dispatched)
-                max_dispatched = count;
             std::vector<StoreExpansion> expansions =
                     exec::parallel_map_grained(
                             sched, count, /*grain=*/0,
@@ -944,12 +778,6 @@ void run_store_bfs(const Exploration& x, const Digest128& root_key,
     }
 
     result.states_explored = states_accepted;
-    result.parallel_threshold = threshold;
-    result.parallel_grain =
-            max_dispatched == 0
-                    ? 0
-                    : exec::TaskScheduler::auto_grain(max_dispatched,
-                                                      sched.size());
     result.parallel_steals = sched.steal_count();
     const store::VisitedStats vs = visited.stats();
     result.store_shards = vs.shards;

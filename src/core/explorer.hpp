@@ -148,17 +148,10 @@ struct ExploreResult : ExploreOutcome {
     /// ExploreConfig::collect_layer_sizes (the test oracle never fills
     /// it).
     std::vector<std::size_t> layer_frontier_sizes;
-    /// Scheduler observability.  Excluded from the oracle and
-    /// cross-thread equivalence comparisons and from every report:
-    /// grain and threshold depend on the effective worker count (a
-    /// machine property), and steals are timing-dependent by design.
-    /// The grain chosen for the largest parallel-dispatched layer (0
-    /// when every layer ran inline).
-    std::size_t parallel_grain = 0;
-    /// The sequential-fallback threshold in effect
-    /// (exec::TaskScheduler::sequential_threshold of the worker count).
-    std::size_t parallel_threshold = 0;
-    /// Successful work steals during this exploration.
+    /// Successful work steals during this exploration.  Scheduler
+    /// observability: timing-dependent by design, so excluded from the
+    /// oracle and cross-thread equivalence comparisons and from every
+    /// report.
     std::uint64_t parallel_steals = 0;
     /// Out-of-core store observability.  The tier counters and spill
     /// tallies are DETERMINISTIC for a fixed StoreOptions -- pure

@@ -84,6 +84,40 @@ void fold_reduced_message(StateHasher& h, ProcessId from,
     }
 }
 
+/// Lays out the whole configuration `sys`.  Slot i names msgs[i]: the
+/// buffered messages of the processes the absorption quotient keeps,
+/// process by process in arrival order, dead ones included (they own a
+/// slot but are not live).  begin[q-1] is the slot of q's oldest
+/// message and begin[n] the slot count.
+void layout_state(const System& sys, int n, const AbsorptionContext& abs,
+                  KeyLayout& k, std::vector<const Message*>& msgs,
+                  std::vector<std::size_t>& begin) {
+    k.procs.clear();
+    k.live.clear();
+    msgs.clear();
+    begin.clear();
+    for (ProcessId q = 1; q <= n; ++q) {
+        begin.push_back(msgs.size());
+        KeyProcess p;
+        p.decision = sys.decision_of(q);
+        p.absorbed = abs.decided_final && p.decision.has_value();
+        p.crashed = sys.crashed(q);
+        p.stepped = sys.steps_of(q) > 0;
+        p.live_begin = k.live.size();
+        if (!p.absorbed) {
+            const Behavior& recv = sys.behavior_of(q);
+            for (const Message& m : sys.buffer(q)) {
+                if (!dead_message(m.from, m.payload, recv, abs))
+                    k.live.push_back(msgs.size());
+                msgs.push_back(&m);
+            }
+        }
+        p.live_end = k.live.size();
+        k.procs.push_back(p);
+    }
+    begin.push_back(msgs.size());
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -237,255 +271,147 @@ Digest128 renamed_behavior_hash(const Behavior& behavior,
     return sub.digest();
 }
 
-Digest128 reduced_hash_state(const System& sys, int n,
-                             const AbsorptionContext& abs) {
-    StateHasher h;
-    for (ProcessId p = 1; p <= n; ++p) {
-        auto d = sys.decision_of(p);
-        if (abs.decided_final && d) {
-            // Decided processes of a decisions-are-final algorithm fold
-            // to their decision alone: buffer, crash flag and internal
-            // bookkeeping are observationally dead.  The marker 2 is
-            // disjoint from the 0/1 the crashed flag feeds below.
-            h.u64(2);
-            h.i64(*d);
-            continue;
-        }
-        h.u64(sys.crashed(p) ? 1 : 0);
-        h.u64(d ? 1 : 0);
-        if (d) h.i64(*d);
-        const auto& buf = sys.buffer(p);
-        const Behavior& recv = sys.behavior_of(p);
-        std::size_t live = 0;
-        for (const Message& m : buf)
-            if (!dead_message(m.from, m.payload, recv, abs)) ++live;
-        h.u64(live);
-        for (const Message& m : buf)
-            if (!dead_message(m.from, m.payload, recv, abs))
-                h.fold(reduced_msg_hash(m.from, m.payload));
-    }
-    for (ProcessId p = 1; p <= n; ++p) {
-        if (abs.decided_final && sys.decision_of(p)) continue;  // collapsed
-        const bool stepped = sys.steps_of(p) > 0;
-        h.u64(stepped ? 1 : 0);
-        if (stepped) {
-            StateHasher sub;
-            sys.behavior_of(p).fold_state(sub);
-            h.fold(sub.digest());
-        }
-    }
-    return h.digest();
-}
-
-Digest128 hash_state_renamed(const System& sys, int n,
-                             const Algorithm& algorithm,
-                             const ProcessRenaming& ren,
-                             const ProcessRenaming& inv,
-                             RenameScratch& scratch,
-                             const AbsorptionContext& abs) {
-    StateHasher h;
-    // Walk the renamed configuration position by position: position r
-    // holds what process inv[r-1] holds in `sys`, with every id mapped
-    // through `ren`.  Message arrival order is renaming-invariant (the
-    // renamed schedule delivers the renamed messages in the same
-    // order), so buffers are walked front to back unchanged.  The
-    // absorption quotient is renaming-invariant too (message_inert and
-    // decidedness commute with renaming), so applying it before the
-    // renamed walk folds the same fields reduced_hash_state folds.
-    for (ProcessId r = 1; r <= n; ++r) {
-        const ProcessId q = inv[static_cast<std::size_t>(r) - 1];
-        auto d = sys.decision_of(q);
-        if (abs.decided_final && d) {
-            h.u64(2);
-            h.i64(*d);
-            continue;
-        }
-        h.u64(sys.crashed(q) ? 1 : 0);
-        h.u64(d ? 1 : 0);
-        if (d) h.i64(*d);
-        const auto& buf = sys.buffer(q);
-        const Behavior& recv = sys.behavior_of(q);
-        std::size_t live = 0;
-        for (const Message& m : buf)
-            if (!dead_message(m.from, m.payload, recv, abs)) ++live;
-        h.u64(live);
-        for (const Message& m : buf)
-            if (!dead_message(m.from, m.payload, recv, abs))
-                h.fold(renamed_msg_hash(m.from, m.payload, algorithm, ren,
-                                        scratch));
-    }
-    for (ProcessId r = 1; r <= n; ++r) {
-        const ProcessId q = inv[static_cast<std::size_t>(r) - 1];
-        if (abs.decided_final && sys.decision_of(q)) continue;  // collapsed
-        const bool stepped = sys.steps_of(q) > 0;
-        h.u64(stepped ? 1 : 0);
-        if (stepped)
-            h.fold(renamed_behavior_hash(sys.behavior_of(q), ren,
-                                         scratch.sub));
-    }
-    return h.digest();
-}
-
-void RenamedChildKeys::build(const System& parent, int n,
-                             const Algorithm& algorithm,
-                             const SymmetryGroup& group,
-                             const AbsorptionContext& abs) {
-    sys_ = &parent;
-    algorithm_ = &algorithm;
-    group_ = &group;
-    abs_ = abs;
-    n_ = n;
-    const std::size_t un = static_cast<std::size_t>(n);
-    msg_begin_.resize(un);
-    dead_.clear();
-    for (ProcessId q = 1; q <= n; ++q) {
-        msg_begin_[static_cast<std::size_t>(q) - 1] = dead_.size();
-        // Absorbed processes fold to their decision in every child (a
-        // final decision stays), so their slots would never be read.
-        if (abs.decided_final && parent.decision_of(q)) continue;
-        const Behavior& recv = parent.behavior_of(q);
-        for (const Message& m : parent.buffer(q))
-            dead_.push_back(dead_message(m.from, m.payload, recv, abs) ? 1
-                                                                        : 0);
-    }
-    num_msgs_ = dead_.size();
-    const std::size_t rows = group.size() - 1;
-    msg_.resize(rows * num_msgs_);
-    behavior_.resize(rows * un);
-    for (std::size_t g = 1; g < group.size(); ++g) {
-        const ProcessRenaming& ren = group.renaming(g);
-        Digest128* msg_row = msg_.data() + (g - 1) * num_msgs_;
-        Digest128* behavior_row = behavior_.data() + (g - 1) * un;
-        for (ProcessId q = 1; q <= n; ++q) {
-            if (abs.decided_final && parent.decision_of(q)) continue;
-            const std::size_t begin =
-                    msg_begin_[static_cast<std::size_t>(q) - 1];
-            const auto& buf = parent.buffer(q);
-            for (std::size_t i = 0; i < buf.size(); ++i)
-                msg_row[begin + i] = renamed_msg_hash(
-                        buf[i].from, buf[i].payload, algorithm, ren, scratch_);
-            if (parent.steps_of(q) > 0)
-                behavior_row[static_cast<std::size_t>(q) - 1] =
-                        renamed_behavior_hash(parent.behavior_of(q), ren,
-                                              scratch_.sub);
-        }
-    }
-}
-
-Digest128 RenamedChildKeys::min_key(const GhostEffects& eff, Digest128 key) {
-    invariant(sys_ != nullptr && eff.sends != nullptr &&
-                      eff.decision != nullptr && eff.behavior_after != nullptr,
-              "RenamedChildKeys::min_key: unbound table or incomplete "
-              "GhostEffects");
-    const System& sys = *sys_;
-    const ProcessId s = eff.stepper;
-    const std::size_t un = static_cast<std::size_t>(n_);
-
-    // g-independent: each process's child decision and live buffer
-    // entries.  The child's buffer of q is buf[skip:] followed by the
-    // surviving sends to q in emission order (apply_choice), with dead
-    // messages deleted anywhere, judged by q's CHILD-state behavior:
-    // the stepped clone for the stepper, the parent's (table flags)
-    // for everyone else.
-    decision_.resize(un);
-    live_begin_.resize(un + 1);
-    live_.clear();
-    arriving_.clear();
-    for (ProcessId q = 1; q <= n_; ++q) {
-        const std::size_t qi = static_cast<std::size_t>(q) - 1;
-        std::optional<Value> d = sys.decision_of(q);
-        if (q == s && *eff.decision) d = *eff.decision;
-        decision_[qi] = d;
-        live_begin_[qi] = live_.size();
-        if (abs_.decided_final && d) continue;  // folds to its decision
-        const auto& buf = sys.buffer(q);
-        const std::size_t begin = msg_begin_[qi];
-        const Behavior& receiver =
-                q == s ? *eff.behavior_after : sys.behavior_of(q);
-        for (std::size_t i = q == s ? eff.delivered : 0; i < buf.size(); ++i) {
-            const bool dead =
-                    q == s ? dead_message(buf[i].from, buf[i].payload,
-                                          receiver, abs_)
-                           : dead_[begin + i] != 0;
-            if (!dead) live_.push_back(begin + i);
-        }
-        for (const auto& [dest, payload] : *eff.sends) {
-            if (dest != q || !eff.send_survives(dest)) continue;
-            if (dead_message(s, payload, receiver, abs_)) continue;
-            live_.push_back(num_msgs_ + arriving_.size());
-            arriving_.push_back(&payload);
-        }
-    }
-    live_begin_[un] = live_.size();
-    const bool stepper_absorbed =
-            abs_.decided_final && decision_[static_cast<std::size_t>(s) - 1];
-
-    arriving_digest_.resize(arriving_.size());
-    for (std::size_t g = 1; g < group_->size(); ++g) {
-        const ProcessRenaming& ren = group_->renaming(g);
-        const ProcessRenaming& inv = group_->inverse(g);
-        const Digest128* msg_row = msg_.data() + (g - 1) * num_msgs_;
-        const Digest128* behavior_row = behavior_.data() + (g - 1) * un;
-        for (std::size_t a = 0; a < arriving_.size(); ++a)
-            arriving_digest_[a] = renamed_msg_hash(s, *arriving_[a],
-                                                   *algorithm_, ren, scratch_);
-        const Digest128 stepper_behavior =
-                stepper_absorbed ? Digest128{}
-                                 : renamed_behavior_hash(*eff.behavior_after,
-                                                         ren, scratch_.sub);
-        // The field sequence of hash_state_renamed on the child.
-        StateHasher h;
-        for (ProcessId r = 1; r <= n_; ++r) {
-            const ProcessId q = inv[static_cast<std::size_t>(r) - 1];
-            const std::size_t qi = static_cast<std::size_t>(q) - 1;
-            const std::optional<Value>& d = decision_[qi];
-            if (abs_.decided_final && d) {
-                h.u64(2);
-                h.i64(*d);
-                continue;
-            }
-            const bool crashed_q = q == s ? eff.final_crash : sys.crashed(q);
-            h.u64(crashed_q ? 1 : 0);
-            h.u64(d ? 1 : 0);
-            if (d) h.i64(*d);
-            h.u64(live_begin_[qi + 1] - live_begin_[qi]);
-            for (std::size_t e = live_begin_[qi]; e < live_begin_[qi + 1];
-                 ++e) {
-                const std::size_t slot = live_[e];
-                h.fold(slot < num_msgs_ ? msg_row[slot]
-                                        : arriving_digest_[slot - num_msgs_]);
-            }
-        }
-        for (ProcessId r = 1; r <= n_; ++r) {
-            const ProcessId q = inv[static_cast<std::size_t>(r) - 1];
-            const std::size_t qi = static_cast<std::size_t>(q) - 1;
-            if (abs_.decided_final && decision_[qi]) continue;  // collapsed
-            if (q == s) {
-                h.u64(1);
-                h.fold(stepper_behavior);
-            } else {
-                const bool stepped = sys.steps_of(q) > 0;
-                h.u64(stepped ? 1 : 0);
-                if (stepped) h.fold(behavior_row[qi]);
-            }
-        }
-        const Digest128 d = h.digest();
-        if (d < key) key = d;
-    }
-    return key;
-}
-
 Digest128 canonical_state_key(const System& sys, int n,
                               const Algorithm& algorithm,
                               const SymmetryGroup& group,
                               RenameScratch& scratch,
                               const AbsorptionContext& abs) {
-    Digest128 key = reduced_hash_state(sys, n, abs);
+    // Message arrival order is renaming-invariant (the renamed schedule
+    // delivers the renamed messages in the same order), and so is the
+    // absorption quotient (message_inert and decidedness commute with
+    // renaming): one layout serves every element.
+    KeyLayout layout;
+    std::vector<const Message*> msgs;
+    std::vector<std::size_t> begin;
+    layout_state(sys, n, abs, layout, msgs, begin);
+    Digest128 key{};
+    for (std::size_t g = 0; g < group.size(); ++g) {
+        const ProcessRenaming& ren = group.renaming(g);
+        const Digest128 d = fold_key(
+                layout, group.inverse(g),
+                [&](std::size_t slot) {
+                    const Message& m = *msgs[slot];
+                    return g == 0 ? reduced_msg_hash(m.from, m.payload)
+                                  : renamed_msg_hash(m.from, m.payload,
+                                                     algorithm, ren, scratch);
+                },
+                [&](ProcessId q) {
+                    const Behavior& b = sys.behavior_of(q);
+                    return g == 0 ? behavior_state_hash(b)
+                                  : renamed_behavior_hash(b, ren, scratch.sub);
+                });
+        if (g == 0 || d < key) key = d;
+    }
+    return key;
+}
+
+void ChildKeys::bind(const System& parent, std::span<const BehaviorMark> marks,
+                     std::span<const std::vector<Digest128>> mhash,
+                     const Algorithm& algorithm, const SymmetryGroup& group,
+                     const AbsorptionContext& abs) {
+    sys_ = &parent;
+    algorithm_ = &algorithm;
+    group_ = &group;
+    abs_ = abs;
+    const int n = parent.n();
+    const std::size_t un = static_cast<std::size_t>(n);
+    layout_state(parent, n, abs, parent_, msgs_, msg_begin_);
+    const std::size_t num_msgs = msgs_.size();
+    msg_.resize(group.size() * num_msgs);
+    behavior_.resize(group.size() * un);
+    for (std::size_t qi = 0; qi < un; ++qi) {
+        behavior_[qi] = marks[qi].hash;
+        if (!parent_.procs[qi].absorbed)
+            std::copy(mhash[qi].begin(), mhash[qi].end(),
+                      msg_.begin() + static_cast<std::ptrdiff_t>(msg_begin_[qi]));
+    }
     for (std::size_t g = 1; g < group.size(); ++g) {
-        const Digest128 d = hash_state_renamed(sys, n, algorithm,
-                                               group.renaming(g),
-                                               group.inverse(g), scratch, abs);
-        if (d < key) key = d;
+        const ProcessRenaming& ren = group.renaming(g);
+        Digest128* msg_row = msg_.data() + g * num_msgs;
+        Digest128* behavior_row = behavior_.data() + g * un;
+        for (std::size_t slot = 0; slot < num_msgs; ++slot)
+            msg_row[slot] = renamed_msg_hash(msgs_[slot]->from,
+                                             msgs_[slot]->payload, algorithm,
+                                             ren, scratch_);
+        for (ProcessId q = 1; q <= n; ++q) {
+            const KeyProcess& p = parent_.procs[static_cast<std::size_t>(q) - 1];
+            if (!p.absorbed && p.stepped)
+                behavior_row[q - 1] = renamed_behavior_hash(
+                        parent.behavior_of(q), ren, scratch_.sub);
+        }
+    }
+}
+
+Digest128 ChildKeys::key(const GhostStep& g) {
+    invariant(sys_ != nullptr && g.t != nullptr,
+              "ChildKeys::key: unbound parent or empty ghost step");
+    const ProcessId s = g.stepper;
+    const Transition& t = *g.t;
+    const auto& sends = t.out.sends;
+    const std::size_t num_msgs = msgs_.size();
+
+    // The child's buffer of q is buf[skip:] followed by the surviving
+    // sends to q in emission order (apply_choice), with dead messages
+    // deleted anywhere, judged by q's CHILD-state behavior: the stepped
+    // clone for the stepper, the parent's for everyone else.  The child
+    // starts as a copy of the parent's layout; the stepper and every
+    // process a send arrives at get a fresh live range at the end.
+    layout_ = parent_;
+    for (std::size_t qi = 0; qi < layout_.procs.size(); ++qi) {
+        const ProcessId q = static_cast<ProcessId>(qi + 1);
+        const bool arrives = std::any_of(
+                sends.begin(), sends.end(),
+                [&](const auto& send) { return send.first == q; });
+        if (q != s && !arrives) continue;
+        KeyProcess& c = layout_.procs[qi];
+        const std::size_t begin = layout_.live.size();
+        if (q == s) {
+            if (t.out.decision) c.decision = t.out.decision;
+            c.absorbed = abs_.decided_final && c.decision.has_value();
+            c.crashed = g.final_crash;
+            c.stepped = true;
+            for (std::size_t slot = msg_begin_[qi] + g.delivered;
+                 !c.absorbed && slot < msg_begin_[qi + 1]; ++slot)
+                if (!dead_message(msgs_[slot]->from, msgs_[slot]->payload,
+                                  *t.behavior, abs_))
+                    layout_.live.push_back(slot);
+        } else {
+            for (std::size_t e = c.live_begin; e < c.live_end; ++e) {
+                const std::size_t slot = layout_.live[e];
+                layout_.live.push_back(slot);
+            }
+        }
+        const Behavior& receiver = q == s ? *t.behavior : sys_->behavior_of(q);
+        for (std::size_t j = 0; !c.absorbed && j < sends.size(); ++j)
+            if (sends[j].first == q && g.send_survives(q) &&
+                !dead_message(s, sends[j].second, receiver, abs_))
+                layout_.live.push_back(num_msgs + j);
+        c.live_begin = begin;
+        c.live_end = layout_.live.size();
+    }
+
+    const std::size_t un = parent_.procs.size();
+    Digest128 key{};
+    for (std::size_t e = 0; e < group_->size(); ++e) {
+        const ProcessRenaming& ren = group_->renaming(e);
+        const Digest128* msg_row = msg_.data() + e * num_msgs;
+        const Digest128* behavior_row = behavior_.data() + e * un;
+        const Digest128 d = fold_key(
+                layout_, group_->inverse(e),
+                [&](std::size_t slot) {
+                    if (slot < num_msgs) return msg_row[slot];
+                    const std::size_t j = slot - num_msgs;
+                    return e == 0 ? t.send_hash[j]
+                                  : renamed_msg_hash(s, sends[j].second,
+                                                     *algorithm_, ren, scratch_);
+                },
+                [&](ProcessId q) {
+                    if (q != s) return behavior_row[q - 1];
+                    return e == 0 ? t.bhash
+                                  : renamed_behavior_hash(*t.behavior, ren,
+                                                          scratch_.sub);
+                });
+        if (e == 0 || d < key) key = d;
     }
     return key;
 }

@@ -3,8 +3,9 @@
 //
 // The explorer's reduction layer (ExploreConfig::reduction) shrinks the
 // explored configuration space along three orthogonal axes; this module
-// holds the machinery shared by both.  doc/performance.md carries the
-// full soundness argument; the short form:
+// holds their machinery and the format of the dedup key all three
+// shape.  doc/performance.md carries the full soundness argument; the
+// short form:
 //
 //   * SYMMETRY.  Process ids are wiring labels: permuting them permutes
 //     runs.  For the subgroup G of permutations that fix the inputs
@@ -40,7 +41,7 @@
 //     only in the order of commuting steps reach the same state through
 //     the same multiset of decision events.  The reduced engine
 //     exploits this with a persistent-set style filter (explorer.cpp,
-//     expand_reduced): when some process's every delivery-mode move is
+//     expand): when some process's every delivery-mode move is
 //     decision-free and send-free toward live processes, and every
 //     OTHER live process is send-quiescent (Behavior::may_send), that
 //     process's moves commute with everything the rest of the system
@@ -59,9 +60,11 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -89,9 +92,9 @@ namespace ksa::core {
 /// all-false default is the identity quotient (the full configuration
 /// space).
 struct AbsorptionContext {
-    /// Strip maximal inert suffixes of buffers from dedup keys
-    /// (Behavior::message_inert; a no-op for behaviors that never
-    /// declare anything inert).
+    /// Delete dead messages, wherever they sit in a buffer, from dedup
+    /// keys (dead_message; a no-op for behaviors that never declare
+    /// anything inert).
     bool strip_inert = false;
     /// Key decided processes on (decided, value) alone -- buffers,
     /// crash flags and internal bookkeeping of decided processes leave
@@ -199,17 +202,7 @@ private:
 std::uint64_t intern_tag(std::string_view tag);
 
 // ---------------------------------------------------------------------
-// Renamed / reduced state hashing.
-//
-// The reduced engine keys states on min over G of the renamed state's
-// digest.  The identity element reuses the explorer's incremental
-// caches (explorer.cpp) with the reduced message digest below; the
-// non-identity elements fold a child from its parent's renamed-digest
-// table (RenamedChildKeys) or, for a whole state, re-walk it through
-// the renaming.  All functions fold EXACTLY the same field sequence as the
-// explorer's cached child walk (hash_child_reduced), so that for the identity
-// renaming the cached and walked digests coincide (debug builds assert
-// this on every realized child).
+// Message and behavior digests.
 
 /// Reusable scratch for renamed hashing: one per worker, reset-free
 /// (every helper overwrites what it uses).  Exists to keep the hot path
@@ -258,110 +251,188 @@ inline bool dead_message(ProcessId from, const Payload& payload,
     return abs.strip_inert && receiver.message_inert(from, payload);
 }
 
-/// Reduced-mode full-state digest (identity renaming): the explorer's
-/// key of a whole configuration, with reduced_msg_hash as the message
-/// digest and the absorption quotient applied (decided processes fold
-/// to their decision, inert buffer suffixes are stripped).  Root key
-/// and debug cross-check.
-Digest128 reduced_hash_state(const System& sys, int n,
-                             const AbsorptionContext& abs);
+// ---------------------------------------------------------------------
+// The dedup key.
+//
+// The engine deduplicates on this logical state, per process: crash
+// flag, decision (if any), the live buffer contents in arrival order
+// (sender + payload; message ids are simulator bookkeeping and excluded,
+// so content-equal states reached by different schedules deduplicate),
+// and -- iff the process has stepped at least once -- its behavior
+// digest.  The absorption quotient folds a decided process of a
+// decisions-are-final algorithm to its decision alone and deletes dead
+// messages.  Under a renaming g, position r of the key holds process
+// inverse(g)[r-1], every digest taken under renaming(g); the key of a
+// state is the minimum over the symmetry group.
+//
+// A KeyLayout holds what a key folds independently of the renaming;
+// fold_key is the one function that knows the field sequence.  Two
+// producers fill layouts: canonical_state_key reads a live System, and
+// ChildKeys describes a candidate child from its parent's spine caches
+// and the child's ghost step, without materializing it.  Both fold the
+// same sequence, so a child's key equals the canonical key of the
+// realized child (debug builds check it on every child emitted under a
+// non-trivial group).
 
-/// Full-state digest of the configuration as renamed by `ren`
-/// (inverse `inv` precomputed by SymmetryGroup): position r of the
-/// renamed configuration is position inv[r-1] of `sys`.  Applies the
-/// same absorption quotient as reduced_hash_state.
-Digest128 hash_state_renamed(const System& sys, int n,
-                             const Algorithm& algorithm,
-                             const ProcessRenaming& ren,
-                             const ProcessRenaming& inv,
-                             RenameScratch& scratch,
-                             const AbsorptionContext& abs);
+/// One process's entry of a KeyLayout, in original ids.
+struct KeyProcess {
+    std::optional<Value> decision;
+    /// Decided under AbsorptionContext::decided_final: the process folds
+    /// to its decision alone.
+    bool absorbed = false;
+    bool crashed = false;
+    bool stepped = false;
+    /// The process's live buffer entries:
+    /// KeyLayout::live[live_begin, live_end).
+    std::size_t live_begin = 0;
+    std::size_t live_end = 0;
+};
 
-/// The effects of one ghost step (explorer.cpp) in the shape renamed
-/// child hashing needs: everything is borrowed from the ghost-stepping
-/// caller, nothing is copied.
-struct GhostEffects {
+/// The renaming-independent content of a key.  Each live buffer entry
+/// is a slot, an index whose meaning belongs to the producer; fold_key
+/// digests it through the producer's callable.
+struct KeyLayout {
+    std::vector<KeyProcess> procs;  ///< procs[q-1]
+    /// Slots; a process's range holds its live entries in arrival
+    /// order.  Ranges need not follow process order, and entries outside
+    /// every range are never read.
+    std::vector<std::size_t> live;
+};
+
+/// The one fold of a dedup key.  Walks `k` in position order -- position
+/// r holds process order[r-1]: SymmetryGroup::inverse(g), the identity
+/// for element 0 -- and digests a slot as `msg(slot)` and a stepped
+/// process q as `behavior(q)`, both under the renaming being folded.
+/// Variable-length fields are length-prefixed, so distinct layouts feed
+/// distinct sequences.
+template <class MsgDigest, class BehaviorDigest>
+Digest128 fold_key(const KeyLayout& k, const ProcessRenaming& order,
+                   MsgDigest&& msg, BehaviorDigest&& behavior) {
+    StateHasher h;
+    for (ProcessId q : order) {
+        const KeyProcess& p = k.procs[static_cast<std::size_t>(q) - 1];
+        if (p.absorbed) {
+            // The marker 2 is disjoint from the 0/1 of the crash flag.
+            h.u64(2);
+            h.i64(*p.decision);
+            continue;
+        }
+        h.u64(p.crashed ? 1 : 0);
+        h.u64(p.decision ? 1 : 0);
+        if (p.decision) h.i64(*p.decision);
+        h.u64(p.live_end - p.live_begin);
+        for (std::size_t e = p.live_begin; e < p.live_end; ++e)
+            h.fold(msg(k.live[e]));
+    }
+    for (ProcessId q : order) {
+        const KeyProcess& p = k.procs[static_cast<std::size_t>(q) - 1];
+        if (p.absorbed) continue;  // collapsed with the marker above
+        h.u64(p.stepped ? 1 : 0);
+        if (p.stepped) h.fold(behavior(q));
+    }
+    return h.digest();
+}
+
+/// Canonical key of a live System: the minimum over the group of the
+/// folded key, every digest computed afresh from the System (fold_state
+/// and fresh message digests, never a cache).  The explorer's root key
+/// and the debug cross-check of ghost-step child keys.
+Digest128 canonical_state_key(const System& sys, int n,
+                              const Algorithm& algorithm,
+                              const SymmetryGroup& group,
+                              RenameScratch& scratch,
+                              const AbsorptionContext& abs);
+
+// ---------------------------------------------------------------------
+// Child keys.
+
+/// What a local transition produces: the stepped behavior, the step's
+/// output and their digests.  Immutable once built; the explorer's
+/// transition memo shares one between every candidate that steps to it.
+struct Transition {
+    /// The stepped clone, kept because dead-message judgement and
+    /// renamed child keys (fold_state_renamed) read it again.
+    std::unique_ptr<const Behavior> behavior;
+    StepOutput out;                    ///< sends + decision of the step
+    Digest128 bhash{};                 ///< behavior_state_hash() after the step
+    /// reduced_msg_hash of every send, in emission order.
+    std::vector<Digest128> send_hash;
+};
+
+/// One candidate step: the stepper delivering the first `delivered`
+/// messages of its buffer, taken as the transition `t`, plus what
+/// depends on the configuration around it -- the step counts and the
+/// crash plan.
+struct GhostStep {
     ProcessId stepper = 0;
-    std::size_t delivered = 0;  ///< delivered prefix length of stepper's buffer
-    bool final_crash = false;
+    std::size_t delivered = 0;  ///< length of the delivered buffer prefix
+    const Transition* t = nullptr;
+    /// The step is a stutter unless it is the stepper's final step
+    /// (explorer.cpp, is_stutter).
+    bool idle = false;
+    bool final_crash = false;  ///< step count hit the crash plan
     const std::set<ProcessId>* omit_to = nullptr;  ///< final-step omissions
-    const std::vector<std::pair<ProcessId, Payload>>* sends = nullptr;
-    const std::optional<Value>* decision = nullptr;  ///< decision of the step
-    const Behavior* behavior_after = nullptr;  ///< stepper's stepped clone
 
+    /// True iff the send to `dest` actually reaches its buffer.
     bool send_survives(ProcessId dest) const {
-        return !(final_crash && omit_to != nullptr &&
-                 omit_to->count(dest) != 0);
+        return !(final_crash && omit_to != nullptr && omit_to->count(dest) != 0);
     }
 };
 
-/// Renamed child keys of one parent configuration, computed from a
-/// per-parent digest table instead of a fresh renamed walk per child.
+/// Canonical keys of the children of one parent node, folded from the
+/// parent's caches instead of a walk of each realized child.
 ///
 /// A child differs from its parent only in the stepper (delivered
 /// prefix, crash flag, decision, behavior) and in the sends arriving in
-/// other buffers.  build() therefore digests, once per parent and for
-/// every non-identity element g, every buffered message and every
-/// stepped behavior of each process the absorption quotient keeps, plus
-/// the dead-message flags under the parent's receivers (inertness does
-/// not depend on the renaming).  min_key() then does the g-independent
-/// work of a child once -- the stepper's dead flags judged by its
-/// stepped clone, the liveness of each arriving send, each buffer's
-/// live messages -- and per g digests only the arriving sends and the
-/// stepped behavior, folding everything else from the table.  The
-/// folded field sequence and sub-digests are exactly those of
-/// hash_state_renamed on the realized child, so keys are bit-identical
-/// to a full renamed walk (debug builds cross-check every child).
+/// other buffers.  bind() therefore lays out the parent once, judging
+/// every buffered message's dead flag under its receiver, and copies
+/// the spine caches into row 0 of its digest tables; for a group of
+/// order > 1 it also digests every buffered message and stepped
+/// behavior under every element g >= 1.  key() builds the child's
+/// layout once from the parent's -- the stepper's leftover buffer
+/// judged by its stepped clone, each arriving send by its receiver --
+/// then folds element 0 from row 0 and Transition::send_hash/bhash,
+/// and each g >= 1 from row g, digesting afresh only the arriving sends
+/// and the stepped behavior.
 ///
-/// Cost: build() is |G|-1 times (buffered messages + stepped processes)
-/// renamed digests; min_key() is, per element, the arriving sends plus
-/// one behavior digest and the folds.  The table holds (|G|-1) *
-/// (messages + n) digests, so it grows with the group order (up to 8!
-/// at kMaxSymmetryProcesses).  One per worker; reused across parents.
-class RenamedChildKeys {
+/// The renamed table holds (|G|-1) * (messages + n) digests, so it
+/// grows with the group order (up to 8! at kMaxSymmetryProcesses).  One
+/// per worker; its vectors are recycled across parents.
+class ChildKeys {
 public:
-    /// Binds the table to `parent` and fills it.  `parent`, `algorithm`
-    /// and `group` must outlive every min_key() call until the next
-    /// build().
-    void build(const System& parent, int n, const Algorithm& algorithm,
-               const SymmetryGroup& group, const AbsorptionContext& abs);
+    /// Binds to `parent`, whose spine caches are `marks` (per process)
+    /// and `mhash` (per process, per buffered message).  `parent`,
+    /// `algorithm` and `group` must outlive every key() call until the
+    /// next bind(); the caches are copied.
+    void bind(const System& parent, std::span<const BehaviorMark> marks,
+              std::span<const std::vector<Digest128>> mhash,
+              const Algorithm& algorithm, const SymmetryGroup& group,
+              const AbsorptionContext& abs);
 
-    /// min(key, min over g >= 1 of the renamed digest of the child the
-    /// ghost step `eff` reaches from the bound parent).
-    Digest128 min_key(const GhostEffects& eff, Digest128 key);
+    /// Canonical key of the child that the ghost step `g` reaches from
+    /// the bound parent.
+    Digest128 key(const GhostStep& g);
 
 private:
     const System* sys_ = nullptr;
     const Algorithm* algorithm_ = nullptr;
     const SymmetryGroup* group_ = nullptr;
     AbsorptionContext abs_;
-    int n_ = 0;
-    /// msg_begin_[q-1]: the table-row slot of q's oldest buffered
-    /// message; absorbed processes own no slots.
+    /// The parent's layout.  Slot i is the parent's buffered message
+    /// msgs_[i], msg_begin_[q-1] the slot of q's oldest one (absorbed
+    /// processes own none); slot msgs_.size() + j is the step's j-th
+    /// send.
+    KeyLayout parent_;
+    std::vector<const Message*> msgs_;
     std::vector<std::size_t> msg_begin_;
-    std::size_t num_msgs_ = 0;  ///< slots per row
-    std::vector<std::uint8_t> dead_;  ///< per slot, under the parent's receiver
-    std::vector<Digest128> msg_;      ///< row g-1: renamed message digests
-    std::vector<Digest128> behavior_;  ///< row g-1: renamed behavior digests
+    /// Row g: per slot, the message digest under element g.  Row 0 is
+    /// the spine's cache.
+    std::vector<Digest128> msg_;
+    /// Row g: per process, the behavior digest under element g.  Row 0
+    /// is the spine's cache.
+    std::vector<Digest128> behavior_;
     RenameScratch scratch_;
-    // Per-child scratch, recycled across children.
-    std::vector<std::optional<Value>> decision_;  ///< child decision per process
-    std::vector<std::size_t> live_begin_;  ///< live_[..] range per process
-    /// The child's live buffer entries in fold order: < num_msgs_ is a
-    /// table slot, otherwise num_msgs_ + index into arriving_.
-    std::vector<std::size_t> live_;
-    std::vector<const Payload*> arriving_;  ///< live arriving sends
-    std::vector<Digest128> arriving_digest_;  ///< their renamed digests, per g
+    KeyLayout layout_;  ///< the current child's, recycled
 };
-
-/// Canonical key of a live System: minimum over the group of the
-/// renamed full-state digests (identity via reduced_hash_state), with
-/// the absorption quotient applied on every path.  The reduced
-/// engine's root key and the debug cross-check of materialized nodes.
-Digest128 canonical_state_key(const System& sys, int n,
-                              const Algorithm& algorithm,
-                              const SymmetryGroup& group,
-                              RenameScratch& scratch,
-                              const AbsorptionContext& abs);
 
 }  // namespace ksa::core

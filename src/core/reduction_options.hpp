@@ -25,8 +25,9 @@ struct ReductionOptions {
     bool symmetry = true;  ///< canonicalize states under the symmetry group
     bool por = true;       ///< persistent-set partial-order reduction
     /// Observational absorption quotient: key decided processes on
-    /// their decision alone when Algorithm::decided_is_final, and strip
-    /// maximal inert buffer suffixes (Behavior::message_inert).
+    /// their decision alone when Algorithm::decided_is_final, and delete
+    /// inert messages (Behavior::message_inert) wherever they sit in a
+    /// buffer.
     bool absorption = true;
 };
 

@@ -270,4 +270,13 @@ inline Digest128 behavior_state_hash(const Behavior& b) {
     return h.digest();
 }
 
+/// Per-process behavior-state entry of a hashed state key.  `stepped`
+/// mirrors the replay oracle's convention of keying an unstepped
+/// process on the empty digest (see the dedup-key commentary in
+/// core/reduction.hpp).
+struct BehaviorMark {
+    bool stepped = false;
+    Digest128 hash{};  ///< behavior_state_hash, iff stepped
+};
+
 }  // namespace ksa

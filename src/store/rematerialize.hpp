@@ -42,6 +42,7 @@
 #include <memory>
 #include <vector>
 
+#include "sim/behavior.hpp"
 #include "sim/digest.hpp"
 #include "sim/failure_plan.hpp"
 #include "sim/scheduler.hpp"
@@ -49,15 +50,6 @@
 #include "store/delta_store.hpp"
 
 namespace ksa::store {
-
-/// Per-process behavior-state entry of a hashed state key.  `stepped`
-/// mirrors the replay oracle's convention of keying an unstepped
-/// process on the empty digest (see the state-key commentary in
-/// core/explorer.cpp).
-struct BehaviorMark {
-    bool stepped = false;
-    Digest128 hash{};
-};
 
 /// Per-process, per-buffered-message digest cache: mhash[p-1][i] is
 /// the digest of the i-th message of p's buffer.

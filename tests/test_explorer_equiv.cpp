@@ -344,8 +344,9 @@ TEST(ReducedEquivalence, UniformInputsSymmetry) {
 // With every reduction switched off the engine must not merely agree --
 // it must partition states exactly like the full-space oracle and
 // reproduce its result bit for bit (counts, witness, everything).  This
-// pins the identity quotient: reduced_hash_state/hash_child_reduced
-// distinguish exactly what the oracle's canonical strings distinguish.
+// pins the identity quotient: the dedup key (core/reduction.hpp,
+// fold_key) distinguishes exactly what the oracle's canonical strings
+// distinguish.
 TEST(ReducedEquivalence, AllReductionsOffIsBitIdenticalToFast) {
     auto algorithm = algo::make_flp_kset(3, 1);
     ExploreConfig cfg = base_config(3, 1, 12);
@@ -438,9 +439,10 @@ TEST(ReducedEquivalence, RunToRunDeterminism) {
 }
 
 // Groups beyond S3.  Renamed child keys are folded from a per-parent
-// digest table (core/reduction.hpp, RenamedChildKeys), which must
-// reproduce the partition of a full renamed walk exactly; the pinned
-// counts were recorded with such a walk.  Cases: the full group S4, and
+// digest table (core/reduction.hpp, ChildKeys), which must reproduce
+// the partition of a full renamed walk exactly; the pinned counts of
+// the first and last case were recorded with such a walk.  Cases: the
+// full group S4, the product group {id, (1 2), (3 4), (1 2)(3 4)}, and
 // {id, (3 4)} where the swapped processes crash after one step with
 // their final sends omitted.  Each runs with absorption on (the
 // stepper's dead messages are then judged by its stepped clone) and off.
@@ -475,6 +477,28 @@ TEST(ReducedEquivalence, UniformInputsFullGroupS4) {
         expect_pinned_counts(red,
                              absorption ? PinnedCounts{105, 516, 255}
                                         : PinnedCounts{189, 634, 841},
+                             label);
+    }
+}
+
+// Two input blocks: no renaming maps a process of one block into the
+// other, so positions move only within a block, in both at once for
+// (1 2)(3 4).
+TEST(ReducedEquivalence, TwoInputBlocksProductGroup) {
+    algo::FloodingKSet algorithm(3);
+    for (const bool absorption : {true, false}) {
+        ExploreConfig cfg = base_config(4, 1, 20);
+        cfg.inputs = {1, 1, 2, 2};
+        cfg.reduction.absorption = absorption;
+        const std::string label = absorption ? "blocks, absorption on"
+                                             : "blocks, absorption off";
+        auto [fast, red] = expect_reduced_agrees(algorithm, cfg, label);
+        EXPECT_TRUE(fast.exhaustive) << label;
+        EXPECT_TRUE(red.exhaustive) << label;
+        EXPECT_EQ(fast.states_explored, 5560u) << label;
+        expect_pinned_counts(red,
+                             absorption ? PinnedCounts{596, 2969, 1494}
+                                        : PinnedCounts{1076, 3654, 4939},
                              label);
     }
 }
